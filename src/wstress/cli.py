@@ -127,17 +127,34 @@ def _require(config: dict, key: str):
 # sample and baseline resolution
 
 
-def read_sample_csv(path: str, output_column: str = "Y") -> tuple[SampleSet, np.ndarray | None]:
-    """Read a sample CSV; returns the sample set and the theta column if present."""
+def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
+    """Read a numeric CSV table: a header row, then rows of floats.
+
+    Blank lines and lines starting with ``#`` are skipped.  Returns the
+    stripped column names and the data as a (rows, columns) float array;
+    an unreadable file, a missing data row, a non-numeric cell or a ragged
+    row raises :class:`ConfigError`.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
     except OSError as exc:
-        raise ConfigError(f"cannot read samples {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     if len(rows) < 2:
-        raise ConfigError(f"sample file {path} has no data rows")
+        raise ConfigError(f"{path} has no data rows")
     header = [h.strip() for h in rows[0]]
-    data = np.asarray(rows[1:], dtype=float)
+    try:
+        data = np.asarray(rows[1:], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: data rows must be numeric and equally long ({exc})") from exc
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path}: {data.shape[1]} data columns under {len(header)} names")
+    return header, data
+
+
+def read_sample_csv(path: str, output_column: str = "Y") -> tuple[SampleSet, np.ndarray | None]:
+    """Read a sample CSV; returns the sample set and the theta column if present."""
+    header, data = _read_csv_table(path)
     if output_column not in header:
         raise ConfigError(f"sample file lacks output column {output_column!r}")
     y = data[:, header.index(output_column)]
@@ -541,15 +558,10 @@ def run_smooth(config: dict) -> tuple[int, str]:
     if csv_path is None:
         raise ConfigError("smooth needs a CSV path under smooth.csv or input.csv")
     column = section.get("column", "Y")
-    try:
-        with open(csv_path, "r", encoding="utf-8", newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    except OSError as exc:
-        raise ConfigError(f"cannot read {csv_path}: {exc}") from exc
-    header = [h.strip() for h in rows[0]]
+    header, data = _read_csv_table(csv_path)
     if column not in header:
         raise ConfigError(f"{csv_path} lacks column {column!r}")
-    values = np.asarray([r[header.index(column)] for r in rows[1:]], dtype=float)
+    values = data[:, header.index(column)]
     zeta = float(config["zeta"])
     smoothed = spav(values, zeta=zeta)
     u = midpoint_grid(values.size)

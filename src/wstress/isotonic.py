@@ -141,7 +141,8 @@ def spav(values, weights=None, zeta: float = 0.0, u=None) -> np.ndarray:
     The per-increment penalty coefficients are ``zeta / (u[i+1] - u[i])**2``;
     ``u`` defaults to the uniform midpoint grid on (0, 1), for which the
     coefficient is ``zeta * n**2``.  ``zeta = 0`` reproduces :func:`pav`
-    exactly.
+    exactly.  Non-finite abscissae, and penalties that overflow or swamp the
+    weights so the system is numerically singular, raise ValidationError.
     """
     v = _validated_values(values)
     if not np.isfinite(zeta) or zeta < 0.0:
@@ -156,11 +157,19 @@ def spav(values, weights=None, zeta: float = 0.0, u=None) -> np.ndarray:
         ua = np.asarray(u, dtype=float)
         if ua.shape != v.shape:
             raise ValidationError("abscissae must match the values in length")
+        if not np.isfinite(ua).all():
+            raise ValidationError("abscissae contain non-finite entries")
         spacing = np.diff(ua)
         if np.any(spacing <= 0.0):
             raise ValidationError("abscissae must be strictly increasing (no ties)")
-    penalties = zeta / spacing**2
-    return _smoothed_isotonic(v, w, penalties)
+    with np.errstate(over="ignore", divide="ignore"):
+        penalties = zeta / spacing**2
+    if not np.isfinite(penalties).all():
+        raise ValidationError("increment penalty zeta / spacing**2 overflows")
+    try:
+        return _smoothed_isotonic(v, w, penalties)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"increment penalty too large for the weights: {exc}") from exc
 
 
 def _solve_block_system(ends, v, w, pen):
@@ -199,10 +208,12 @@ def _expand(ends, block_values):
 def _smoothed_isotonic(v, w, pen):
     """Primal active-set QP on the pooled block structure.
 
-    Starts from the (feasible) plain isotonic fit.  Each iteration solves the
-    tridiagonal equality system on the current blocks; infeasible directions
-    trigger merges along the largest feasible step, feasible solutions with a
-    negative tie multiplier trigger a split.
+    Starts from the (feasible) plain isotonic fit.  Each pass solves the
+    tridiagonal equality system on the current blocks; infeasible solutions
+    trigger merges along the largest feasible step, feasible ones split the
+    most negative tie of every block at once.  Each solve minimises over a
+    subspace containing the current iterate, so the objective falls strictly.
+    Each pass is vectorised, and the pass count grows slowly with n.
     """
     n = v.size
     ends, block_vals = _pav_blocks(v, w)
@@ -216,10 +227,10 @@ def _smoothed_isotonic(v, w, pen):
         gaps = np.diff(b)
         if gaps.size == 0 or gaps.min() >= -feas_tol:
             x = _expand(ends, np.maximum.accumulate(b))
-            worst = _most_negative_tie_multiplier(ends, x, v, w, pen, dual_tol)
-            if worst is None:
+            splits = _worst_tie_per_block(ends, x, v, w, pen, dual_tol)
+            if splits.size == 0:
                 return x
-            ends = np.sort(np.append(ends, worst + 1))
+            ends = np.sort(np.concatenate((ends, splits + 1)))
             continue
         # Step from the current feasible iterate toward b until a block gap
         # closes, then merge every boundary that became tight.
@@ -239,29 +250,24 @@ def _smoothed_isotonic(v, w, pen):
     raise NotConvergedError("smoothed isotonic active set did not terminate")
 
 
-def _most_negative_tie_multiplier(ends, x, v, w, pen, tol):
-    """Index of the active tie whose multiplier is most negative, if any.
+def _worst_tie_per_block(ends, x, v, w, pen, tol):
+    """Per block, the first tie whose multiplier is most negative and below -tol.
 
-    Stationarity gives mu_i = mu_{i-1} - grad_i along each block; inactive
-    boundaries have mu = 0 by block optimality, so only within-block ties
-    are inspected.
+    Stationarity gives the tie multipliers ``mu = -cumsum(grad)``; the last
+    index of a block is a boundary (zero multiplier by block optimality) or
+    the end of the vector, so it is masked out.
     """
-    n = v.size
     grad = 2.0 * w * (x - v)
     inc = np.diff(x)
     grad[:-1] -= 2.0 * pen * inc
     grad[1:] += 2.0 * pen * inc
-    mu = -np.cumsum(grad)[:-1]
-    candidate = None
-    worst = -tol
-    start = 0
-    for end in ends:
-        for i in range(start, end - 1):
-            if mu[i] < worst:
-                worst = mu[i]
-                candidate = i
-        start = end
-    return candidate
+    mu = -np.cumsum(grad)
+    mu[ends - 1] = np.inf
+    starts = np.concatenate(([0], ends[:-1]))
+    block_min = np.minimum.reduceat(mu, starts)
+    hits = np.flatnonzero((mu == np.repeat(block_min, ends - starts)) & (mu < -tol))
+    _, first = np.unique(np.searchsorted(ends, hits, side="right"), return_index=True)
+    return hits[first]
 
 
 def project(f: GridFunction, weights=None, zeta: float = 0.0) -> GridFunction:

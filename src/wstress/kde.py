@@ -1,9 +1,11 @@
 """Weighted Gaussian kernel density estimation with the Silverman rule.
 
-The estimator is linearly binned: samples are histogrammed onto the target
-grid and convolved with a Gaussian kernel, which keeps the cost O(n + m)
-instead of O(n * m) and is accurate whenever the bandwidth spans a few grid
-cells (the callers guarantee that).
+The estimator is binned: each sample's weight goes to its nearest grid point
+(a histogram with bins centred on the grid), and the binned weights are
+convolved with a Gaussian kernel.  That keeps the cost O(n + m) instead of
+O(n * m); nearest-bin assignment shifts a sample by at most half a grid cell,
+which is small whenever the bandwidth spans a few grid cells (the callers
+guarantee that).
 """
 
 from __future__ import annotations

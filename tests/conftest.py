@@ -54,6 +54,35 @@ def smoothed_isotonic_oracle(values, weights=None, penalties=None):
     return best_x
 
 
+def assert_smoothed_isotonic_kkt(values, x, weights=None, penalties=None, rtol=1e-8):
+    """KKT certificate of ``x`` as the smoothed isotonic fit of ``values``.
+
+    The QP is ``min sum w (x - v)**2 + sum pen * diff(x)**2`` subject to
+    ``diff(x) >= 0``.  With ``g`` its gradient at ``x``, the tie multipliers
+    are ``mu = -cumsum(g)[:-1]``; ``x`` is optimal iff it is nondecreasing,
+    ``sum(g) = 0``, ``mu >= 0`` and ``mu = 0`` wherever ``x`` increases.
+    Independent of the implementation under test: it uses only the gradient.
+    """
+    v = np.asarray(values, dtype=float)
+    x = np.asarray(x, dtype=float)
+    n = v.size
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    pen = np.zeros(n - 1) if penalties is None else np.asarray(penalties, dtype=float)
+    inc = np.diff(x)
+    grad = 2.0 * w * (x - v)
+    grad[:-1] -= 2.0 * pen * inc
+    grad[1:] += 2.0 * pen * inc
+    csum = np.cumsum(grad)
+    mu = -csum[:-1]
+    scale = max(1.0, float(np.abs(v).max()))
+    tol = rtol * scale * max(1.0, float(w.max()), float(pen.max(initial=0.0)))
+    assert float(inc.min(initial=0.0)) >= 0.0, "fit decreases"
+    assert abs(float(csum[-1])) <= tol, f"stationarity residual {csum[-1]:.3g} > {tol:.3g}"
+    assert float(mu.min(initial=0.0)) >= -tol, f"negative tie multiplier {mu.min():.3g}"
+    slack = float(np.abs(mu[inc > 0.0]).max(initial=0.0))
+    assert slack <= tol, f"complementarity violated: {slack:.3g} > {tol:.3g}"
+
+
 def uniform_grid(n=4096):
     """Quantile grid of the standard uniform distribution."""
     return QuantileGrid(midpoint_grid(n))

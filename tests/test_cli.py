@@ -350,3 +350,46 @@ class TestConfigErrors:
             tmp_path, {"baseline": {"kind": "lognormal", "mu": 0.0, "sigma": 1.0}}
         )
         assert main(["stress", str(cfg)]) == 1
+
+
+MALFORMED_CSV = {
+    "comments_only": "# config_hash = 0\n# nothing else\n",
+    "header_only": "L1,Y\n",
+    "non_numeric_cell": "L1,Y\n1.0,2.0\n3.0,abc\n",
+    "ragged_row": "L1,Y\n1.0,2.0\n3.0\n",
+    "too_many_cells": "L1,Y\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
+}
+
+
+class TestMalformedCsv:
+    @pytest.mark.parametrize("content", MALFORMED_CSV.values(), ids=MALFORMED_CSV.keys())
+    def test_smooth_exits_1(self, tmp_path, content, capsys):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(content)
+        config = {
+            "out": str(tmp_path / "out"),
+            "zeta": 1e-4,
+            "smooth": {"csv": str(csv_path), "column": "Y"},
+        }
+        assert main(["smooth", str(write_config(tmp_path, config))]) == 1
+        assert "bad.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", MALFORMED_CSV.values(), ids=MALFORMED_CSV.keys())
+    def test_stress_exits_1(self, tmp_path, content, capsys):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(content)
+        config = {
+            "out": str(tmp_path / "out"),
+            "grid_n": 256,
+            "input": {"csv": str(csv_path)},
+            "baseline": {"kind": "empirical"},
+            "stresses": [
+                {
+                    "name": "bump",
+                    "kind": "rm",
+                    "constraints": [{"gamma": "es", "alpha": 0.9, "bump": 0.02}],
+                }
+            ],
+        }
+        assert main(["stress", str(write_config(tmp_path, config))]) == 1
+        assert "bad.csv" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import smoothed_isotonic_oracle
+from conftest import assert_smoothed_isotonic_kkt, smoothed_isotonic_oracle
 from wstress.errors import ValidationError
 from wstress.isotonic import GridFunction, as_weights, pav, project, spav
 
@@ -133,6 +135,55 @@ class TestSpav:
             np.abs(spav(v, zeta=z) - pav(v)).max() for z in (1e-2, 1e-4, 1e-6)
         ]
         assert gaps[0] >= gaps[1] >= gaps[2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_abscissae_raise(self, bad):
+        with pytest.raises(ValidationError):
+            spav([3.0, 1.0, 2.0], zeta=1e-3, u=[0.1, 0.5, bad])
+
+    def test_overflowing_penalty_raises(self):
+        # zeta * n**2 overflows to inf on the default grid
+        with pytest.raises(ValidationError):
+            spav(np.linspace(1.0, 0.0, 64), zeta=1e306)
+
+    def test_penalty_too_large_for_weights_raises(self):
+        # finite penalties, but the tridiagonal system is numerically singular
+        with pytest.raises(ValidationError):
+            spav([3.0, 1.0, 2.0], zeta=1e300)
+
+    def test_large_noisy_fit_satisfies_kkt(self):
+        n, zeta = 4096, 1e-4
+        u = (np.arange(n) + 0.5) / n
+        v = np.log(u / (1.0 - u)) + 0.5 * np.random.default_rng(41).normal(size=n)
+        x = spav(v, zeta=zeta)
+        assert_smoothed_isotonic_kkt(v, x, penalties=np.full(n - 1, zeta * n * n))
+        assert np.unique(x).size < n  # the fit has ties, so the test is not vacuous
+
+
+@st.composite
+def smoothing_problems(draw):
+    """Random (v, w, zeta, u): some zero weights, non-uniform abscissae."""
+    n = draw(st.integers(2, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    v = rng.normal(size=n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        v += np.linspace(0.0, 2.0 * np.abs(v).max(), n)  # mostly increasing
+    w = rng.uniform(0.0, 2.0, size=n)
+    w[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    w[rng.integers(n)] = 1.0  # not all zero
+    gaps = rng.uniform(0.2, 1.0, size=n + 1)
+    u = np.cumsum(gaps)[:-1] / gaps.sum()
+    zeta = draw(st.sampled_from([0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0]))
+    return v, w, zeta, u
+
+
+class TestSpavProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(smoothing_problems())
+    def test_kkt_conditions(self, problem):
+        v, w, zeta, u = problem
+        x = spav(v, w, zeta=zeta, u=u)
+        assert_smoothed_isotonic_kkt(v, x, w, zeta / np.diff(u) ** 2)
 
 
 class TestProject:
