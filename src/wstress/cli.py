@@ -56,7 +56,6 @@ from .risk_measures import (
 from .scenario import SpatialConfig, generate
 from .sensitivity import (
     SensitivityReport,
-    bivariate_reverse_sensitivity,
     delta_measure,
     identity_s,
     joint_tail_indicator_s,
@@ -308,13 +307,17 @@ def build_stress(entry: dict, baseline: QuantileGrid):
 # output helpers
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray], hash_line: str | None):
+def _write_csv(path: Path, header: list[str], columns: list, hash_line: str | None):
+    """Write columns as CSV rows: numbers at 17 significant digits, strings as they are."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if hash_line:
             fh.write(f"# config_hash={hash_line}\n")
         fh.write(",".join(header) + "\n")
+        # plain Python numbers format faster than numpy scalars, to the same text
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
         for row in zip(*columns):
-            fh.write(",".join(FLOAT_FMT.format(v) for v in row) + "\n")
+            cells = (v if isinstance(v, str) else FLOAT_FMT.format(v) for v in row)
+            fh.write(",".join(cells) + "\n")
 
 
 def _structure_flags(model) -> str:
@@ -352,20 +355,32 @@ def _summary_stress_lines(name: str, entry: dict, model) -> list[str]:
 # subcommands
 
 
-def run_stress(config: dict, samples: SampleSet | None = None) -> tuple[int, str]:
-    """Solve every configured stress; returns (exit_code, summary_text)."""
-    chash = config_hash(config)
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if samples is None:
-        samples, _ = resolve_samples(config)
-    baseline_spec = resolve_baseline(config, samples)
-    grid_n = int(config["grid_n"])
-    zeta = float(config["zeta"])
-    baseline = discretize(baseline_spec, grid_n)
+def _prepare(config: dict, samples: SampleSet | None):
+    """Shared set-up of ``stress`` and ``sensitivity``.
+
+    Checks the stress list, resolves samples and baseline and discretises
+    the baseline before it creates the output directory, so a bad
+    configuration leaves nothing behind.  Returns (output directory, stress
+    entries, samples, baseline distribution, baseline grid).
+    """
     entries = _require(config, "stresses")
     if not entries:
         raise ConfigError("need at least one stress")
+    if samples is None:
+        samples, _ = resolve_samples(config)
+    baseline_spec = resolve_baseline(config, samples)
+    baseline = discretize(baseline_spec, int(config["grid_n"]))
+    out_dir = Path(config["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir, entries, samples, baseline_spec, baseline
+
+
+def run_stress(config: dict, samples: SampleSet | None = None) -> tuple[int, str]:
+    """Solve every configured stress; returns (exit_code, summary_text)."""
+    chash = config_hash(config)
+    out_dir, entries, samples, baseline_spec, baseline = _prepare(config, samples)
+    grid_n = int(config["grid_n"])
+    zeta = float(config["zeta"])
 
     lines = [f"config_hash = {chash}", f"grid_n = {grid_n}",
              f"zeta = {FLOAT_FMT.format(zeta)}"]
@@ -435,16 +450,10 @@ def _parse_s_tag(tag: str):
 
 def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int, str]:
     chash = config_hash(config)
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if samples is None:
-        samples, _ = resolve_samples(config)
-    if samples is None:
+    if samples is None and config.get("input") is None:
         raise ConfigError("sensitivity requires input samples")
-    baseline_spec = resolve_baseline(config, samples)
-    grid_n = int(config["grid_n"])
+    out_dir, entries, samples, baseline_spec, baseline = _prepare(config, samples)
     zeta = float(config["zeta"])
-    baseline = discretize(baseline_spec, grid_n)
     sens = config.get("sensitivity", {})
     s_tags = sens.get("s_functions", ["identity"])
     pairs = [tuple(p) for p in sens.get("pairs", [])]
@@ -452,8 +461,7 @@ def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int
     want_delta = bool(sens.get("delta", False))
 
     weight_sets = {}
-    code = EXIT_OK
-    for entry in _require(config, "stresses"):
+    for entry in entries:
         name = entry.get("name", entry.get("kind", "stress"))
         try:
             spec = build_stress(entry, baseline)
@@ -492,7 +500,7 @@ def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int
             )
             report_rows.append(
                 (f"{a}:{b}", f"joint_tail:{pair_alpha}",
-                 bivariate_reverse_sensitivity(s_vals, wset))
+                 reverse_sensitivity(s_vals, wset))
             )
         report = SensitivityReport(rows=tuple(report_rows))
         for target, tag, res in report.rows:
@@ -504,15 +512,8 @@ def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int
             rows.append(row)
 
     path = out_dir / "sensitivity.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={chash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                v if isinstance(v, str) else FLOAT_FMT.format(v) for v in row
-            ]
-            fh.write(",".join(cells) + "\n")
-    return code, str(path)
+    _write_csv(path, header, list(zip(*rows)), chash)
+    return EXIT_OK, str(path)
 
 
 def run_simulate(config: dict) -> tuple[int, str]:
@@ -529,14 +530,12 @@ def run_simulate(config: dict) -> tuple[int, str]:
     sc_config = SpatialConfig(**kwargs)
     out = generate(sc_config)
     path = out_dir / "samples.csv"
-    header = list(out.samples.columns) + ["Y", "theta"]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(out.samples.n_samples):
-            cells = [FLOAT_FMT.format(v) for v in out.samples.X[i]]
-            cells.append(FLOAT_FMT.format(out.samples.Y[i]))
-            cells.append(str(int(out.theta[i])))
-            fh.write(",".join(cells) + "\n")
+    _write_csv(
+        path,
+        [*out.samples.columns, "Y", "theta"],
+        [*out.samples.X.T, out.samples.Y, out.theta],
+        None,
+    )
     meta = {
         "config_hash": chash,
         "seed": kwargs["seed"],

@@ -13,14 +13,16 @@ quantile grid while hitting user constraints.  The constraint families are
 Each family has a known solution shape: an isotonic projection of the
 baseline quantile plus multiplier-weighted constraint directions (scaled, or
 pushed through the inverse of x - lam * u'(x) for the utility family).  The
-multipliers are found by a damped Newton iteration on the constraint
+multipliers are found by one damped Newton iteration on the constraint
 residuals with forward-difference Jacobians, falling back to coordinate-wise
-bisection at projection kinks.
+bisection at projection kinks.  The integral family's inequalities enter
+that iteration through Robinson's normal map of their KKT conditions, so
+binding and slack constraints are sorted out by the same search rather than
+by guessing active sets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -329,11 +331,6 @@ def _bisection_sweep(scaled, lam, r, lo, tol):
     return lam, scaled(lam)
 
 
-def _subsets(n, size):
-    """All index subsets of {0..n-1} with the given size, as sorted tuples."""
-    return itertools.combinations(range(n), size)
-
-
 class _ProjectionCache:
     """Memoises the most recent stressed grid per multiplier vector."""
 
@@ -390,7 +387,7 @@ def _rm_arrays(baseline, constraints):
         gammas.append(c.weight.values)
         targets.append(c.target)
         names.append(f"{c.weight.tag}{c.weight.params}")
-    return np.asarray(gammas), np.asarray(targets), names
+    return np.reshape(gammas, (-1, baseline.n)), np.asarray(targets, dtype=float), names
 
 
 def solve_rm(
@@ -472,22 +469,14 @@ def solve_mean_var_rm(
     terms) / (1 + scale_mult).  The scale multiplier is kept away from -1,
     where the reshaping degenerates.
     """
-    gammas, rm_targets, rm_names = (
-        _rm_arrays(baseline, spec.constraints)
-        if spec.constraints
-        else (np.empty((0, baseline.n)), np.empty(0), [])
-    )
+    gammas, rm_targets, rm_names = _rm_arrays(baseline, spec.constraints)
     d = 2 + len(rm_targets)
-    clamped = {"hit": False}
 
     def build(lam):
         denom = 1.0 + lam[1]
         if abs(denom) < _SCALE_GUARD:
-            clamped["hit"] = True
             denom = _SCALE_GUARD if denom >= 0.0 else -_SCALE_GUARD
-        ell = baseline.q + lam[0] + lam[1] * spec.mean
-        if len(rm_targets):
-            ell = ell + gammas.T @ lam[2:]
+        ell = baseline.q + lam[0] + lam[1] * spec.mean + gammas.T @ lam[2:]
         return _isotonic(ell / denom, zeta=zeta)
 
     stressed_for = _ProjectionCache(build)
@@ -497,10 +486,8 @@ def solve_mean_var_rm(
     def residual(lam):
         qs = stressed_for(lam)
         m, sd = float(np.mean(qs)), float(np.sqrt(np.mean((qs - np.mean(qs)) ** 2)))
-        out = [m - spec.mean, sd - spec.sd]
-        if len(rm_targets):
-            out.extend(qs @ gammas.T / baseline.n - rm_targets)
-        return np.asarray(out)
+        rm = qs @ gammas.T / baseline.n - rm_targets
+        return np.concatenate(([m - spec.mean, sd - spec.sd], rm))
 
     result = multiplier_search(
         residual,
@@ -535,8 +522,13 @@ def solve_integral(
     (baseline - sum lam_k h_k) / Lambda with Lambda = 1 + sum lamq_l hq_l and
     projection weights Lambda; multipliers enter with a minus sign in the
     numerator so that the KKT multipliers of the upper-bound constraints are
-    nonnegative.  An active-set loop solves binding constraints as equalities
-    and drops any whose multiplier turns negative.
+    nonnegative.  The problem is a strictly convex QP, so its KKT conditions
+    (lam >= 0, achieved <= bound, complementarity) have one solution, found
+    as the zero of Robinson's normal map in free variables z:
+    lam = max(z, 0) and F(z) = achieved(lam) - bound - min(z, 0).  A
+    constraint with z > 0 binds; one with z <= 0 is slack by -z.  The search
+    starts at z = min(F(0), 0), so constraints the baseline already meets
+    start slack.
     """
     lin_h = (
         np.asarray([c.h for c in spec.linear])
@@ -550,86 +542,42 @@ def solve_integral(
     )
     if lin_h.shape[1] != baseline.n or quad_h.shape[1] != baseline.n:
         raise ValidationError("constraint function length differs from grid")
-    lin_c = np.asarray([c.bound for c in spec.linear], dtype=float)
-    quad_c = np.asarray([c.bound for c in spec.quadratic], dtype=float)
-    names = [c.name for c in spec.linear] + [c.name for c in spec.quadratic]
-    d, dq = len(spec.linear), len(spec.quadratic)
+    constraints = (*spec.linear, *spec.quadratic)
+    bounds = np.asarray([c.bound for c in constraints], dtype=float)
+    d = len(spec.linear)
 
-    def build(full_lam):
-        lam, lamq = full_lam[:d], full_lam[d:]
-        weights = np.ones(baseline.n) + (quad_h.T @ lamq if dq else 0.0)
-        weights = np.maximum(weights, 1e-9)
-        ell = baseline.q - (lin_h.T @ lam if d else 0.0)
-        return pav(ell / weights, weights)
+    def build(lam):
+        weights = np.maximum(1.0 + quad_h.T @ lam[d:], 1e-9)
+        return pav((baseline.q - lin_h.T @ lam[:d]) / weights, weights)
 
     stressed_for = _ProjectionCache(build)
 
-    def achieved(full_lam):
-        qs = stressed_for(full_lam)
-        out = np.empty(d + dq)
-        if d:
-            out[:d] = lin_h @ qs / baseline.n
-        if dq:
-            out[d:] = quad_h @ qs**2 / baseline.n
-        return out
+    def achieved(lam):
+        qs = stressed_for(lam)
+        return np.concatenate((lin_h @ qs, quad_h @ qs**2)) / baseline.n
 
-    bounds = np.concatenate((lin_c, quad_c))
-    scale = _target_scale(bounds)
-    K = d + dq
-    total_evals = 1
-    base_achieved = achieved(np.zeros(K))
-    violated = tuple(k for k in range(K) if base_achieved[k] > bounds[k] + tol * scale[k])
+    def normal_map(z):
+        return achieved(np.maximum(z, 0.0)) - bounds - np.minimum(z, 0.0)
 
-    # Enumerate candidate active sets, starting with the constraints violated
-    # at the baseline (usually the right set), then all subsets by size.  The
-    # problem is strictly convex, so the first KKT-consistent point (solvable
-    # with nonnegative multipliers, no inactive constraint violated) is the
-    # unique optimum.
-    candidates = [violated] if violated else [()]
-    for size in range(K + 1):
-        for combo in _subsets(K, size):
-            if combo not in candidates:
-                candidates.append(combo)
-
-    failure = None
-    for active in candidates:
-        full = np.zeros(K)
-        if active:
-            idx = np.asarray(active, dtype=int)
-
-            def residual(sub_lam, idx=idx):
-                full_lam = np.zeros(K)
-                full_lam[idx] = sub_lam
-                return achieved(full_lam)[idx] - bounds[idx]
-
-            try:
-                result = multiplier_search(
-                    residual,
-                    np.zeros(idx.size),
-                    scale=scale[idx],
-                    tol=tol,
-                    max_iter=min(max_iter, 80),
-                    lower=np.zeros(idx.size),
-                )
-            except NotConvergedError as exc:
-                total_evals += 0 if exc.residuals is None else 1
-                failure = exc
-                continue
-            total_evals += result.evaluations
-            full[idx] = result.multipliers
-        current = achieved(full)
-        if np.any(current - bounds > tol * scale):
-            continue
-        residuals = np.where(np.isin(np.arange(K), active), current - bounds, 0.0)
-        qs = stressed_for(full)
-        return _model(
-            baseline, qs, full[:d], residuals, names, 0.0, total_evals,
-            multipliers_quadratic=full[d:],
+    try:
+        result = multiplier_search(
+            normal_map,
+            np.minimum(achieved(np.zeros(bounds.size)) - bounds, 0.0),
+            scale=_target_scale(bounds),
+            tol=tol,
+            max_iter=max_iter,
         )
-    raise NotConvergedError(
-        "no active set satisfies the integral constraints",
-        residuals=None if failure is None else failure.residuals,
-        multipliers=None if failure is None else failure.multipliers,
+    except NotConvergedError as exc:
+        raise NotConvergedError(
+            f"integral constraints: {exc}",
+            residuals=exc.residuals,
+            multipliers=np.maximum(exc.multipliers, 0.0),
+        ) from exc
+    lam = np.maximum(result.multipliers, 0.0)
+    return _model(
+        baseline, stressed_for(lam), lam[:d], result.residuals,
+        [c.name for c in constraints], 0.0, 1 + result.evaluations,
+        multipliers_quadratic=lam[d:],
     )
 
 
@@ -743,11 +691,7 @@ def solve_utility_rm(
     the constraint binds and the solution is the inverse of
     x - lam1 * u'(x) applied to the projected risk-measure solution.
     """
-    gammas, rm_targets, rm_names = (
-        _rm_arrays(baseline, spec.constraints)
-        if spec.constraints
-        else (np.empty((0, baseline.n)), np.empty(0), [])
-    )
+    gammas, rm_targets, rm_names = _rm_arrays(baseline, spec.constraints)
     d = len(rm_targets)
     names = ["utility", *rm_names]
     scale_u = max(1.0, abs(spec.floor))
@@ -776,7 +720,7 @@ def solve_utility_rm(
             )
 
     def build(lam):
-        ell = baseline.q + (gammas.T @ lam[1:] if d else 0.0)
+        ell = baseline.q + gammas.T @ lam[1:]
         projected = _isotonic(ell, zeta=zeta)
         return _inverse_shifted_marginal(projected, spec.utility, max(lam[0], 0.0))
 
@@ -786,10 +730,8 @@ def solve_utility_rm(
 
     def residual(lam):
         qs = stressed_for(lam)
-        out = [float(np.mean(spec.utility.value(qs))) - spec.floor]
-        if d:
-            out.extend(qs @ gammas.T / baseline.n - rm_targets)
-        return np.asarray(out)
+        utility = float(np.mean(spec.utility.value(qs))) - spec.floor
+        return np.concatenate(([utility], qs @ gammas.T / baseline.n - rm_targets))
 
     lower = np.full(1 + d, -np.inf)
     lower[0] = 0.0

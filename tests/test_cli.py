@@ -351,6 +351,19 @@ class TestConfigErrors:
         )
         assert main(["stress", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("command", ["stress", "sensitivity"])
+    def test_empty_stresses_exit_1_and_write_nothing(self, tmp_path, command, capsys):
+        out = tmp_path / "out"
+        config = {
+            "out": str(out),
+            "input": {"scenario": {"n_samples": 500}},
+            "baseline": {"kind": "empirical"},
+            "stresses": [],
+        }
+        assert main([command, str(write_config(tmp_path, config))]) == 1
+        assert "at least one stress" in capsys.readouterr().err
+        assert not out.exists()
+
 
 MALFORMED_CSV = {
     "comments_only": "# config_hash = 0\n# nothing else\n",

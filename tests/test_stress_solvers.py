@@ -231,6 +231,103 @@ class TestSolveIntegral:
         assert ours <= problem.value + 1e-6
         assert np.abs(model.stressed.q - g.value).max() <= 1e-4
 
+    def test_against_slsqp_oracle(self):
+        # the QP of test_against_qp_oracle, solved by scipy's SLSQP, which
+        # runs offline
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(41)
+        n = 64
+        base = QuantileGrid(np.sort(rng.normal(size=n)))
+        u = midpoint_grid(n)
+        h1 = np.ones(n)
+        h2 = (u > 0.5).astype(float)
+        c1 = float(np.mean(base.q)) - 0.3
+        c2 = float(np.mean(h2 * base.q)) - 0.1
+        hq = np.ones(n)
+        cq = 0.95 * float(np.mean(base.q**2))
+        spec = IntegralStress(
+            linear=(
+                LinearConstraint(h=h1, bound=c1),
+                LinearConstraint(h=h2, bound=c2),
+            ),
+            quadratic=(QuadraticConstraint(h=hq, bound=cq),),
+        )
+        model = solve_integral(base, spec, tol=1e-9)
+
+        diff = np.diff(np.eye(n), axis=0)
+        constraints = [
+            {"type": "ineq", "fun": lambda g: diff @ g, "jac": lambda g: diff},
+            {"type": "ineq", "fun": lambda g: c1 - h1 @ g / n, "jac": lambda g: -h1 / n},
+            {"type": "ineq", "fun": lambda g: c2 - h2 @ g / n, "jac": lambda g: -h2 / n},
+            {"type": "ineq", "fun": lambda g: cq - hq @ g**2 / n,
+             "jac": lambda g: -2.0 * hq * g / n},
+        ]
+        oracle = optimize.minimize(
+            lambda g: float(np.sum((g - base.q) ** 2)),
+            base.q,
+            jac=lambda g: 2.0 * (g - base.q),
+            constraints=constraints,
+            method="SLSQP",
+            options={"ftol": 1e-14, "maxiter": 1000},
+        )
+        assert oracle.success, oracle.message
+        ours = float(np.sum((model.stressed.q - base.q) ** 2))
+        assert ours <= oracle.fun + 1e-10
+        assert np.abs(model.stressed.q - oracle.x).max() <= 1e-8
+
+    def test_kkt_with_sixteen_disjoint_bands(self, lognormal_grid):
+        # 16 constraints on disjoint probability bands, linear and quadratic
+        # alternating, every third one slack at the baseline
+        n = lognormal_grid.n
+        q = lognormal_grid.q
+        u = midpoint_grid(n)
+        linear, quadratic = [], []
+        for j in range(16):
+            lo = 0.05 + j * 0.9 / 16
+            h = ((u > lo) & (u <= lo + 0.3 * 0.9 / 16)).astype(float)
+            slack = 0.05 if j % 3 == 2 else 0.0
+            if j % 2 == 0:
+                bound = float(np.mean(h * q)) * (0.98 + slack)
+                linear.append(LinearConstraint(h=h, bound=bound))
+            else:
+                bound = float(np.mean(h * q**2)) * (0.96 + slack)
+                quadratic.append(QuadraticConstraint(h=h, bound=bound))
+        spec = IntegralStress(linear=tuple(linear), quadratic=tuple(quadratic))
+        tol = 1e-6
+        model = solve_integral(lognormal_grid, spec, tol=tol)
+        qs = model.stressed.q
+        assert np.all(np.diff(qs) >= 0.0)
+        mults = np.concatenate((model.multipliers, model.multipliers_quadratic))
+        achieved = [float(np.mean(c.h * qs)) for c in linear]
+        achieved += [float(np.mean(c.h * qs**2)) for c in quadratic]
+        bounds = np.asarray([c.bound for c in (*linear, *quadratic)])
+        scale = np.maximum(1.0, np.abs(bounds))
+        assert mults.size == 16
+        assert np.all(mults >= 0.0)
+        assert np.all(achieved <= bounds + tol * scale)
+        active = mults > 0.0
+        np.testing.assert_array_less(np.abs(achieved - bounds)[active], tol * scale[active])
+        # slack constraints (met by the baseline) keep a zero multiplier,
+        # and every constraint the baseline violates binds
+        slack_at_baseline = np.asarray(
+            [np.mean(c.h * q) for c in linear] + [np.mean(c.h * q**2) for c in quadratic]
+        ) <= bounds
+        assert np.all(mults[slack_at_baseline] == 0.0)
+        assert np.all(active[~slack_at_baseline])
+
+    def test_budget_exhaustion_reports_nonnegative_multipliers(self, lognormal_grid):
+        m, _ = mean_sd(lognormal_grid)
+        spec = IntegralStress(
+            linear=(
+                LinearConstraint(h=np.ones(4096), bound=m - 0.2),
+                LinearConstraint(h=np.ones(4096), bound=m + 5.0),
+            )
+        )
+        with pytest.raises(NotConvergedError) as info:
+            solve_integral(lognormal_grid, spec, max_iter=0)
+        assert np.all(info.value.multipliers >= 0.0)
+        assert info.value.residuals is not None
+
     def test_kkt_conditions(self, lognormal_grid):
         m, _ = mean_sd(lognormal_grid)
         spec = IntegralStress(
