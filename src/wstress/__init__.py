@@ -44,7 +44,6 @@ from .risk_measures import (
 )
 from .scenario import ScenarioOutput, SpatialConfig, generate, table1_stresses
 from .sensitivity import (
-    SensitivityReport,
     SensitivityResult,
     bivariate_reverse_sensitivity,
     delta_measure,

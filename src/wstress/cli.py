@@ -38,6 +38,7 @@ from .distributions import (
     QuantileGrid,
     cdf_and_density,
     discretize,
+    excess_jumps,
     flat_segments,
     midpoint_grid,
 )
@@ -55,7 +56,6 @@ from .risk_measures import (
 )
 from .scenario import SpatialConfig, generate
 from .sensitivity import (
-    SensitivityReport,
     delta_measure,
     identity_s,
     joint_tail_indicator_s,
@@ -178,16 +178,21 @@ def resolve_samples(config: dict) -> tuple[SampleSet | None, np.ndarray | None]:
     if "csv" in section:
         return read_sample_csv(section["csv"], section.get("output_column", "Y"))
     if "scenario" in section:
-        sc = section["scenario"] or {}
-        kwargs = {
-            "n_samples": int(sc.get("n_samples", 100_000)),
-            "seed": int(sc.get("seed", config["seed"])),
-        }
-        if "locations" in sc:
-            kwargs["locations"] = np.asarray(sc["locations"], dtype=float)
-        out = generate(SpatialConfig(**kwargs))
+        out = generate(_scenario_config(config))
         return out.samples, out.theta
     raise ConfigError("input section needs either 'csv' or 'scenario'")
+
+
+def _scenario_config(config: dict) -> SpatialConfig:
+    """The spatial scenario of ``input.scenario``; its seed defaults to the run seed."""
+    section = (config.get("input") or {}).get("scenario") or {}
+    kwargs = {
+        "n_samples": int(section.get("n_samples", 100_000)),
+        "seed": int(section.get("seed", config["seed"])),
+    }
+    if "locations" in section:
+        kwargs["locations"] = np.asarray(section["locations"], dtype=float)
+    return SpatialConfig(**kwargs)
 
 
 def resolve_baseline(config: dict, samples: SampleSet | None):
@@ -323,16 +328,14 @@ def _write_csv(path: Path, header: list[str], columns: list, hash_line: str | No
 def _structure_flags(model) -> str:
     flats = flat_segments(model.stressed, min_cells=3)
     base_inc = np.diff(model.baseline.q)
-    stress_inc = np.diff(model.stressed.q)
-    excess = stress_inc - base_inc
     # a jump must beat a global floor and dwarf the local baseline increment,
     # so affine rescaling of a heavy tail does not raise a flag
     jump_floor = 10.0 * max(float(np.median(base_inc)), 1e-12)
-    candidates = np.flatnonzero((excess > jump_floor) & (excess > base_inc))
+    jumps = excess_jumps(model.stressed, model.baseline, np.maximum(jump_floor, base_inc))
     flags = [f"flat@{0.5 * (lo + hi):.3f}" for lo, hi, _ in flats]
-    if candidates.size:
-        idx = int(candidates[np.argmax(excess[candidates])])
-        flags.append(f"jump@{(idx + 1) / model.stressed.n:.3f}")
+    if jumps:
+        u, _ = max(jumps, key=lambda jump: jump[1])
+        flags.append(f"jump@{u:.3f}")
     return ", ".join(flags) if flags else "none"
 
 
@@ -463,13 +466,7 @@ def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int
     weight_sets = {}
     for entry in entries:
         name = entry.get("name", entry.get("kind", "stress"))
-        try:
-            spec = build_stress(entry, baseline)
-            model = solve(baseline, spec, zeta=zeta)
-        except NoSolutionError:
-            return EXIT_NO_SOLUTION, ""
-        except NotConvergedError:
-            return EXIT_NOT_CONVERGED, ""
+        model = solve(baseline, build_stress(entry, baseline), zeta=zeta)
         weight_sets[name] = rn_weights(samples, baseline_spec, model.stressed)
 
     header = ["stress", "input", "s_tag", "S", "numerator", "max_bound", "min_bound"]
@@ -502,8 +499,7 @@ def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int
                 (f"{a}:{b}", f"joint_tail:{pair_alpha}",
                  reverse_sensitivity(s_vals, wset))
             )
-        report = SensitivityReport(rows=tuple(report_rows))
-        for target, tag, res in report.rows:
+        for target, tag, res in report_rows:
             row = [name, target, tag, res.value, res.numerator, res.max_bound,
                    res.min_bound]
             if want_delta:
@@ -520,14 +516,7 @@ def run_simulate(config: dict) -> tuple[int, str]:
     chash = config_hash(config)
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    section = config.get("input", {}).get("scenario", {}) or {}
-    kwargs = {
-        "n_samples": int(section.get("n_samples", 100_000)),
-        "seed": int(section.get("seed", config["seed"])),
-    }
-    if "locations" in section:
-        kwargs["locations"] = np.asarray(section["locations"], dtype=float)
-    sc_config = SpatialConfig(**kwargs)
+    sc_config = _scenario_config(config)
     out = generate(sc_config)
     path = out_dir / "samples.csv"
     _write_csv(
@@ -538,8 +527,8 @@ def run_simulate(config: dict) -> tuple[int, str]:
     )
     meta = {
         "config_hash": chash,
-        "seed": kwargs["seed"],
-        "n_samples": kwargs["n_samples"],
+        "seed": sc_config.seed,
+        "n_samples": sc_config.n_samples,
         "locations": [[float(v) for v in row] for row in sc_config.locations],
     }
     (out_dir / "samples_meta.yaml").write_text(

@@ -40,6 +40,7 @@ __all__ = [
 DEFAULT_GRID_N = 4096
 MIN_GRID_N = 16
 DENSITY_FLOOR = 1e-12
+FLAT_REL_TOL = 1e-9
 
 
 def midpoint_grid(n: int) -> np.ndarray:
@@ -223,11 +224,7 @@ class DensityCurve:
         return np.interp(y, self.y, self.cdf, left=0.0, right=1.0)
 
 
-def cdf_and_density(
-    grid: QuantileGrid,
-    value_grid_size: int = DEFAULT_GRID_N,
-    density_floor: float = DENSITY_FLOOR,
-) -> DensityCurve:
+def cdf_and_density(grid: QuantileGrid, value_grid_size: int = DEFAULT_GRID_N) -> DensityCurve:
     """Recover the CDF and density of a quantile grid.
 
     The CDF is the normalised count (1/n) * #{i : q_i <= y} with linear
@@ -235,7 +232,7 @@ def cdf_and_density(
     finite difference on an equally spaced value grid spanning [q_1, q_n].
     Flat quantile segments (atoms) become density spikes spread over the
     local knot gap; quantile jumps become zero-density gaps (floored at
-    ``density_floor``).
+    ``DENSITY_FLOOR``).
     """
     q = grid.q
     n = grid.n
@@ -256,20 +253,21 @@ def cdf_and_density(
     integral = float(np.trapezoid(f, y))
     if integral > 0.0:
         f = f / integral
-    f = np.maximum(f, density_floor)
+    f = np.maximum(f, DENSITY_FLOOR)
     return DensityCurve(y=y, f=f, cdf=cdf, raw_integral=integral)
 
 
-def flat_segments(grid: QuantileGrid, rel_tol: float = 1e-9, min_cells: int = 2):
+def flat_segments(grid: QuantileGrid, min_cells: int = 2):
     """Maximal runs of (near-)zero quantile increments.
 
     Returns a list of ``(u_lo, u_hi, value)`` triples covering at least
-    ``min_cells`` consecutive zero increments; these are the atoms of the
-    distribution the grid represents.
+    ``min_cells`` consecutive increments at most ``FLAT_REL_TOL`` times the
+    grid's range (or 1); these are the atoms of the distribution the grid
+    represents.
     """
     q = grid.q
     scale = max(1.0, float(q[-1] - q[0]))
-    flat = np.diff(q) <= rel_tol * scale
+    flat = np.diff(q) <= FLAT_REL_TOL * scale
     segments = []
     i = 0
     n1 = flat.size
@@ -286,15 +284,23 @@ def flat_segments(grid: QuantileGrid, rel_tol: float = 1e-9, min_cells: int = 2)
     return segments
 
 
-def excess_jumps(stressed: QuantileGrid, baseline: QuantileGrid, min_size: float):
+def excess_jumps(stressed: QuantileGrid, baseline: QuantileGrid, min_size):
     """Cells where the stressed increment exceeds the baseline's by min_size.
 
-    Returns ``(u, size)`` pairs at the cell boundaries; sizes are the excess
-    over the baseline increment, so a smooth baseline does not trigger in
-    its own heavy tail.
+    ``min_size`` is one threshold for every cell or an array of ``n - 1``
+    thresholds, one per increment (cell ``i`` spans ``q[i]`` to ``q[i+1]``),
+    so a caller can scale it with the local baseline increment.  Returns
+    ``(u, size)`` pairs at the cell boundaries ``u = (i + 1) / n``; sizes are
+    the excess over the baseline increment, so a smooth baseline does not
+    trigger in its own heavy tail.  This is the one jump test of the
+    package: the CLI's ``jump@`` flag and the weight-zero gaps of
+    :func:`wstress.reweight.rn_weights` both call it.
     """
     if stressed.n != baseline.n:
         raise ValidationError("grids must have equal size")
+    min_size = np.asarray(min_size, dtype=float)
+    if min_size.ndim and min_size.shape != (stressed.n - 1,):
+        raise ValidationError("min_size must be a scalar or one threshold per cell")
     excess = np.diff(stressed.q) - np.diff(baseline.q)
     idx = np.flatnonzero(excess > min_size)
     boundaries = (idx + 1) / stressed.n

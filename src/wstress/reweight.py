@@ -21,6 +21,7 @@ from .distributions import (
     QuantileGrid,
     cdf_and_density,
     discretize,
+    excess_jumps,
 )
 from .errors import ValidationError
 from .kde import kde_density, silverman_bandwidth, weighted_quantile
@@ -97,18 +98,14 @@ class WeightSet:
         return self.w.size
 
 
-def rn_weights(
-    samples: SampleSet,
-    baseline: BaselineSpec,
-    stressed: QuantileGrid,
-    value_grid_size: int = DEFAULT_GRID_N,
-    density_floor: float = DENSITY_FLOOR,
-) -> WeightSet:
+def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGrid) -> WeightSet:
     """Per-sample density-ratio weights stressed/baseline at the output.
 
     The ratio is formed on a common equally spaced value grid spanning the
     pooled range of the baseline support, the stressed grid, and the
-    observed outputs, then linearly interpolated to the sample points.
+    observed outputs (``DEFAULT_GRID_N`` points), then linearly
+    interpolated to the sample points; densities are floored at
+    ``DENSITY_FLOOR`` before division.
 
     For parametric baselines the stressed density comes from the grid's CDF
     reconstruction: atoms (flat quantile segments) spread their mass over
@@ -144,7 +141,7 @@ def rn_weights(
         raise ValidationError("degenerate output range")
     lo -= 1e-9 * span
     hi += 1e-9 * span
-    grid = np.linspace(lo, hi, value_grid_size)
+    grid = np.linspace(lo, hi, DEFAULT_GRID_N)
 
     f_base = np.asarray(baseline.pdf(grid), dtype=float)
     f_at_y = np.asarray(baseline.pdf(y), dtype=float)
@@ -161,19 +158,19 @@ def rn_weights(
         # quantile jumps and atoms smear consistently on both sides.
         bandwidth = silverman_bandwidth(baseline.samples)
         g_stressed = kde_density(transported, grid, bandwidth=bandwidth)
-        ratio = g_stressed / np.maximum(f_base, density_floor)
+        ratio = g_stressed / np.maximum(f_base, DENSITY_FLOOR)
     else:
-        curve = cdf_and_density(stressed, value_grid_size, density_floor=density_floor)
+        curve = cdf_and_density(stressed, DEFAULT_GRID_N)
         g_stressed = np.interp(grid, curve.y, curve.f, left=0.0, right=0.0)
-        ratio = g_stressed / np.maximum(f_base, density_floor)
+        ratio = g_stressed / np.maximum(f_base, DENSITY_FLOOR)
         # Stress-induced quantile jumps are mass-free value intervals: zero
         # the ratio strictly inside them.  A jump is an increment that
         # dwarfs the baseline increment at the same rank, which leaves
         # natural tail spreading alone.
         dy = float(grid[1] - grid[0])
-        s_inc = np.diff(stressed.q)
         b_inc = np.diff(base_grid.q)
-        for j in np.flatnonzero(s_inc - b_inc > 5.0 * (b_inc + dy)):
+        for u, _ in excess_jumps(stressed, base_grid, 5.0 * (b_inc + dy)):
+            j = round(u * stressed.n) - 1
             pad = max(dy, float(b_inc[j]))
             gap = (grid > stressed.q[j] + pad) & (grid < stressed.q[j + 1] - pad)
             ratio[gap] = 0.0
@@ -188,12 +185,12 @@ def rn_weights(
         if upper.any():
             ratio[upper] = np.asarray(
                 baseline.pdf(grid[upper] - shift_top), dtype=float
-            ) / np.maximum(f_base[upper], density_floor)
+            ) / np.maximum(f_base[upper], DENSITY_FLOOR)
         lower_tail = grid < stressed.q[k - 1]
         if lower_tail.any():
             ratio[lower_tail] = np.asarray(
                 baseline.pdf(grid[lower_tail] - shift_bot), dtype=float
-            ) / np.maximum(f_base[lower_tail], density_floor)
+            ) / np.maximum(f_base[lower_tail], DENSITY_FLOOR)
 
     w = np.interp(y, grid, ratio)
     zero_count = int(np.sum(w < 1e-10))

@@ -19,7 +19,6 @@ from .reweight import WeightSet
 
 __all__ = [
     "SensitivityResult",
-    "SensitivityReport",
     "reverse_sensitivity",
     "bivariate_reverse_sensitivity",
     "delta_measure",
@@ -30,6 +29,7 @@ __all__ = [
 ]
 
 _ZERO_NUMERATOR = 1e-12
+DELTA_GRID_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -40,19 +40,6 @@ class SensitivityResult:
     numerator: float
     max_bound: float
     min_bound: float
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Named sensitivity rows, one per (target, s-function) pair."""
-
-    rows: tuple
-
-    def by_name(self, name: str, s_tag: str) -> SensitivityResult:
-        for row_name, row_tag, result in self.rows:
-            if row_name == name and row_tag == s_tag:
-                return result
-        raise KeyError((name, s_tag))
 
 
 def reverse_sensitivity(s_values, weights: WeightSet) -> SensitivityResult:
@@ -129,18 +116,17 @@ def delta_measure(
     x,
     weights: WeightSet | None = None,
     bins: int = 20,
-    grid_size: int = 512,
     min_per_bin: int = 50,
 ) -> float:
     """Moment-independent sensitivity of the output to one input.
 
     Estimator: partition the input into ``bins`` (weighted) equal-probability
     bins by rank, estimate the output density marginally and within each bin
-    by Gaussian KDE with the Silverman bandwidth on a shared grid spanning
-    the 0.1%-99.9% weighted quantile range, and average half the L1 gap
-    between conditional and marginal densities over bins.  Values lie in
-    [0, 1]; binning by rank makes the estimate invariant under strictly
-    monotone transforms of the input.
+    by Gaussian KDE with the Silverman bandwidth on a shared grid of
+    ``DELTA_GRID_SIZE`` points spanning the 0.1%-99.9% weighted quantile
+    range, and average half the L1 gap between conditional and marginal
+    densities over bins.  Values lie in [0, 1]; binning by rank makes the
+    estimate invariant under strictly monotone transforms of the input.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -155,7 +141,7 @@ def delta_measure(
     lo, hi = weighted_quantile(y, [0.001, 0.999], w)
     if hi <= lo:
         raise ValidationError("degenerate output range")
-    grid = np.linspace(lo, hi, grid_size)
+    grid = np.linspace(lo, hi, DELTA_GRID_SIZE)
 
     f_marginal = kde_density(y, grid, weights=w)
 

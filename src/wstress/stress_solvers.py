@@ -23,6 +23,7 @@ by guessing active sets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -41,7 +42,6 @@ from .risk_measures import (
     UtilitySpec,
     eval_rm,
     expected_utility,
-    mean_sd,
     var,
     var_plus,
 )
@@ -331,23 +331,24 @@ def _bisection_sweep(scaled, lam, r, lo, tol):
     return lam, scaled(lam)
 
 
-class _ProjectionCache:
-    """Memoises the most recent stressed grid per multiplier vector."""
+def _projection_cache(builder):
+    """Memoise ``builder`` on the multiplier vector's bytes.
 
-    def __init__(self, builder):
-        self._builder = builder
-        self._key = None
-        self._value = None
+    Two entries hold the current iterate while a finite-difference probe is
+    evaluated, so a probe that maps back onto the iterate (a slack integral
+    constraint) does not rebuild it.
+    """
+    cached = functools.lru_cache(maxsize=2)(lambda key: builder(np.frombuffer(key)))
+    return lambda lam: cached(np.asarray(lam, dtype=float).tobytes())
 
-    def __call__(self, lam):
-        key = np.asarray(lam, dtype=float).tobytes()
-        if key != self._key:
-            self._value = self._builder(np.asarray(lam, dtype=float))
-            self._key = key
-        return self._value
+
+def _check_zeta(zeta) -> None:
+    if not 0.0 <= zeta < np.inf:
+        raise ValidationError("smoothing parameter zeta must be finite and >= 0")
 
 
 def _isotonic(values, weights=None, zeta: float = 0.0):
+    _check_zeta(zeta)
     if zeta > 0.0:
         return spav(values, weights, zeta=zeta)
     return pav(values, weights)
@@ -405,7 +406,7 @@ def solve_rm(
     """
     gammas, targets, names = _rm_arrays(baseline, spec.constraints)
 
-    stressed_for = _ProjectionCache(
+    stressed_for = _projection_cache(
         lambda lam: _isotonic(baseline.q + gammas.T @ lam, zeta=zeta)
     )
 
@@ -479,7 +480,7 @@ def solve_mean_var_rm(
         ell = baseline.q + lam[0] + lam[1] * spec.mean + gammas.T @ lam[2:]
         return _isotonic(ell / denom, zeta=zeta)
 
-    stressed_for = _ProjectionCache(build)
+    stressed_for = _projection_cache(build)
 
     targets = np.concatenate(([spec.mean, spec.sd], rm_targets))
 
@@ -550,7 +551,7 @@ def solve_integral(
         weights = np.maximum(1.0 + quad_h.T @ lam[d:], 1e-9)
         return pav((baseline.q - lin_h.T @ lam[:d]) / weights, weights)
 
-    stressed_for = _ProjectionCache(build)
+    stressed_for = _projection_cache(build)
 
     def achieved(lam):
         qs = stressed_for(lam)
@@ -689,17 +690,20 @@ def solve_utility_rm(
     The utility constraint is an inequality: if the risk-measure-only
     solution already satisfies it the utility multiplier is zero; otherwise
     the constraint binds and the solution is the inverse of
-    x - lam1 * u'(x) applied to the projected risk-measure solution.
+    x - lam1 * u'(x) applied to the projected risk-measure solution.  The
+    reported ``evaluations`` include the risk-measure-only pre-solve's.
     """
     gammas, rm_targets, rm_names = _rm_arrays(baseline, spec.constraints)
     d = len(rm_targets)
     names = ["utility", *rm_names]
     scale_u = max(1.0, abs(spec.floor))
+    presolve_evaluations = 0
 
     if d:
         rm_model = solve_rm(
             baseline, RmStress(spec.constraints), zeta=zeta, tol=tol, max_iter=max_iter
         )
+        presolve_evaluations = rm_model.evaluations
         base_util = expected_utility(rm_model.stressed, spec.utility)
         if base_util >= spec.floor - tol * scale_u:
             return _model(
@@ -709,7 +713,7 @@ def solve_utility_rm(
                 np.concatenate(([min(base_util - spec.floor, 0.0)], rm_model.residuals)),
                 names,
                 zeta,
-                rm_model.evaluations,
+                presolve_evaluations,
             )
     else:
         base_util = expected_utility(baseline, spec.utility)
@@ -724,7 +728,7 @@ def solve_utility_rm(
         projected = _isotonic(ell, zeta=zeta)
         return _inverse_shifted_marginal(projected, spec.utility, max(lam[0], 0.0))
 
-    stressed_for = _ProjectionCache(build)
+    stressed_for = _projection_cache(build)
 
     targets = np.concatenate(([spec.floor], rm_targets))
 
@@ -746,7 +750,7 @@ def solve_utility_rm(
     qs = stressed_for(result.multipliers)
     return _model(
         baseline, qs, result.multipliers, result.residuals, names, zeta,
-        result.evaluations,
+        presolve_evaluations + result.evaluations,
     )
 
 
@@ -756,7 +760,12 @@ def solve(
     zeta: float = 0.0,
     tol: float = DEFAULT_TOL,
 ) -> StressedModel:
-    """Dispatch a stress specification to its solver."""
+    """Dispatch a stress specification to its solver.
+
+    ``zeta`` must be finite and >= 0 for every family, including the
+    quantile and integral families, which do not smooth.
+    """
+    _check_zeta(zeta)
     if isinstance(spec, RmStress):
         return solve_rm(baseline, spec, zeta=zeta, tol=tol)
     if isinstance(spec, MeanVarRm):

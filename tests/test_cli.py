@@ -322,6 +322,17 @@ class TestSensitivityCommand:
         ][0]
         assert "delta_baseline" in header and "delta_stressed" in header
 
+    def test_no_solution_exits_3_with_message(self, sens_setup, tmp_path, capsys):
+        config = self.base_config(tmp_path, s_functions=["identity"])
+        config["stresses"] = [
+            {"name": "bad", "kind": "var", "alpha": 0.9, "bump": 0.5, "side": "left"}
+        ]
+        cfg = tmp_path / "sens3.yaml"
+        cfg.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["sensitivity", str(cfg)]) == EXIT_NO_SOLUTION
+        assert "error: no solution" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "sensitivity.csv").exists()
+
 
 class TestSmoothCommand:
     def test_smooths_column(self, tmp_path):
@@ -363,6 +374,23 @@ class TestConfigErrors:
         assert main([command, str(write_config(tmp_path, config))]) == 1
         assert "at least one stress" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("zeta", ["-1", "nan"])
+    @pytest.mark.parametrize("kind", ["rm", "var"])
+    def test_invalid_zeta_exits_1(self, tmp_path, kind, zeta, capsys):
+        stress = {"name": "s", "kind": "var", "side": "left", "alpha": 0.9, "bump": -0.1}
+        if kind == "rm":
+            stress = {"name": "s", "kind": "rm",
+                      "constraints": [{"gamma": "es", "alpha": 0.9, "bump": 0.1}]}
+        config = {
+            "out": str(tmp_path / "out"),
+            "grid_n": 256,
+            "baseline": {"kind": "lognormal", "mu": 0.875, "sigma": 0.5},
+            "stresses": [stress],
+        }
+        cfg = write_config(tmp_path, config)
+        assert main(["stress", str(cfg), "--zeta", zeta]) == 1
+        assert "zeta must be finite and >= 0" in capsys.readouterr().err
 
 
 MALFORMED_CSV = {

@@ -177,3 +177,23 @@ class TestStructureDetectors:
         base = discretize(Lognormal(0.0, 1.0), 1024)
         assert flat_segments(base) == []
         assert excess_jumps(base, base, min_size=1e-6) == []
+
+    def test_per_cell_threshold_matches_scalar_rule(self):
+        n = 1024
+        base = discretize(Lognormal(0.0, 0.5), n)
+        u = midpoint_grid(n)
+        stressed = QuantileGrid(base.q + 0.2 * (u > 0.3) + 0.05 * (u > 0.6) + 0.6 * (u > 0.9))
+        thresholds = np.linspace(0.01, 0.5, n - 1)
+        per_cell = excess_jumps(stressed, base, thresholds)
+        # cell i is reported under its own threshold exactly when the scalar
+        # rule with that threshold reports it
+        expected = [
+            jump
+            for i, t in enumerate(thresholds)
+            for jump in excess_jumps(stressed, base, t)
+            if jump[0] == (i + 1) / n
+        ]
+        assert per_cell == expected
+        assert [round(b, 2) for b, _ in per_cell] == [0.3, 0.9]
+        with pytest.raises(ValidationError):
+            excess_jumps(stressed, base, thresholds[:-1])

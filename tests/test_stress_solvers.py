@@ -13,6 +13,7 @@ from wstress.distributions import (
     wasserstein2,
 )
 from wstress.errors import NoSolutionError, NotConvergedError, ValidationError
+from wstress import stress_solvers
 from wstress.isotonic import pav
 from wstress.risk_measures import (
     HARAUtility,
@@ -34,6 +35,7 @@ from wstress.stress_solvers import (
     UtilityRm,
     VarStress,
     multiplier_search,
+    solve,
     solve_coherent,
     solve_integral,
     solve_mean_var_rm,
@@ -509,3 +511,69 @@ class TestSmoothedSolves:
         rough = solve_rm(lognormal_grid, spec, zeta=0.0)
         smooth = solve_rm(lognormal_grid, spec, zeta=1e-4)
         assert np.diff(smooth.stressed.q).max() < np.diff(rough.stressed.q).max()
+
+
+class TestSolveCounts:
+    def test_slack_probe_reuses_the_iterate(self, lognormal_grid, monkeypatch):
+        # four disjoint bands, one slack at the baseline: a probe of the slack
+        # multiplier maps back onto the current iterate, whose projection
+        # must still be cached, so pav runs once per distinct multiplier vector
+        q = lognormal_grid.q
+        u = midpoint_grid(lognormal_grid.n)
+        linear, quadratic = [], []
+        for j in range(4):
+            lo = 0.05 + j * 0.9 / 4
+            h = ((u > lo) & (u <= lo + 0.3 * 0.9 / 4)).astype(float)
+            slack = 0.05 if j % 3 == 2 else 0.0
+            if j % 2 == 0:
+                bound = float(np.mean(h * q)) * (0.985 + slack)
+                linear.append(LinearConstraint(h=h, bound=bound))
+            else:
+                bound = float(np.mean(h * q**2)) * (0.97 + slack)
+                quadratic.append(QuadraticConstraint(h=h, bound=bound))
+        calls = []
+
+        def counting_pav(*args, **kwargs):
+            calls.append(1)
+            return pav(*args, **kwargs)
+
+        monkeypatch.setattr(stress_solvers, "pav", counting_pav)
+        model = solve_integral(
+            lognormal_grid, IntegralStress(linear=tuple(linear), quadratic=tuple(quadratic))
+        )
+        assert model.multipliers_quadratic[0] > 0.0 and model.multipliers[1] == 0.0
+        assert len(calls) <= 13
+
+    def test_binding_utility_counts_the_rm_presolve(self, lognormal_grid, monkeypatch):
+        searched = []
+
+        def recording_search(*args, **kwargs):
+            result = multiplier_search(*args, **kwargs)
+            searched.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(stress_solvers, "multiplier_search", recording_search)
+        u = HARAUtility(1.0, 5.0, 0.5)
+        w = es_weight(0.95, 4096)
+        spec = UtilityRm(
+            utility=u,
+            floor=1.01 * expected_utility(lognormal_grid, u),
+            constraints=(RmConstraint(w, 1.03 * eval_rm(lognormal_grid, w)),),
+        )
+        model = solve_utility_rm(lognormal_grid, spec)
+        assert model.multipliers[0] > 0.0
+        assert len(searched) == 2  # the rm-only pre-solve, then the joint search
+        assert model.evaluations == sum(searched)
+
+
+class TestZetaValidation:
+    @pytest.mark.parametrize("zeta", [-1.0, float("nan"), float("inf")])
+    def test_invalid_zeta_raises(self, lognormal_grid, zeta):
+        w = es_weight(0.9, 4096)
+        rm = RmStress((RmConstraint(w, 1.1 * eval_rm(lognormal_grid, w)),))
+        with pytest.raises(ValidationError, match="zeta"):
+            solve_rm(lognormal_grid, rm, zeta=zeta)
+        # the quantile family does not smooth, but solve() still checks zeta
+        quantile = VarStress(alpha=0.9, value=var(lognormal_grid, 0.9), kind="left")
+        with pytest.raises(ValidationError, match="zeta"):
+            solve(lognormal_grid, quantile, zeta=zeta)
