@@ -24,6 +24,7 @@ import csv
 import hashlib
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,8 @@ EXIT_NOT_CONVERGED = 2
 EXIT_NO_SOLUTION = 3
 
 FLOAT_FMT = "{:.17g}"
+#: rows formatted per ``%`` operation by ``_write_csv``; bounds its memory
+CSV_CHUNK_ROWS = 8192
 
 
 class ConfigError(WstressError):
@@ -132,18 +135,20 @@ def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
     Blank lines and lines starting with ``#`` are skipped.  Returns the
     stripped column names and the data as a (rows, columns) float array;
     an unreadable file, a missing data row, a non-numeric cell or a ragged
-    row raises :class:`ConfigError`.
+    row raises :class:`ConfigError`.  The header goes through ``csv.reader``;
+    the data lines are parsed in one ``np.loadtxt`` call, which accepts the
+    same quoted cells, CRLF endings and padded cells.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+            lines = [ln for ln in fh if ln.strip("\r\n") and not ln.startswith("#")]
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if len(rows) < 2:
+    if len(lines) < 2:
         raise ConfigError(f"{path} has no data rows")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
     try:
-        data = np.asarray(rows[1:], dtype=float)
+        data = np.loadtxt(lines[1:], delimiter=",", quotechar='"', comments=None, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: data rows must be numeric and equally long ({exc})") from exc
     if data.shape[1] != len(header):
@@ -312,17 +317,36 @@ def build_stress(entry: dict, baseline: QuantileGrid):
 # output helpers
 
 
+def _column_cells(column) -> tuple[list, str]:
+    """A column's cells as a list, with the ``%`` conversion that writes them."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        # plain Python numbers format faster than numpy scalars, to the same text
+        return column.tolist(), "%.17g"
+    cells = list(column)
+    if any(isinstance(v, str) for v in cells):
+        return [v if isinstance(v, str) else FLOAT_FMT.format(v) for v in cells], "%s"
+    return cells, "%.17g"
+
+
 def _write_csv(path: Path, header: list[str], columns: list, hash_line: str | None):
-    """Write columns as CSV rows: numbers at 17 significant digits, strings as they are."""
+    """Write columns as CSV rows: numbers at 17 significant digits, strings as they are.
+
+    Rows are formatted ``CSV_CHUNK_ROWS`` at a time by one ``%`` operation;
+    ``%.17g`` gives the same text as ``FLOAT_FMT``.  As with ``zip``, the
+    shortest column sets the row count.
+    """
+    cells = [_column_cells(c) for c in columns]
+    row_fmt = ",".join(fmt for _, fmt in cells) + "\n"
+    columns = [col for col, _ in cells]
+    n_rows = min(map(len, columns), default=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if hash_line:
             fh.write(f"# config_hash={hash_line}\n")
         fh.write(",".join(header) + "\n")
-        # plain Python numbers format faster than numpy scalars, to the same text
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-        for row in zip(*columns):
-            cells = (v if isinstance(v, str) else FLOAT_FMT.format(v) for v in row)
-            fh.write(",".join(cells) + "\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            chunk = [col[start : start + CSV_CHUNK_ROWS] for col in columns]
+            rows = min(CSV_CHUNK_ROWS, n_rows - start)
+            fh.write((row_fmt * rows) % tuple(chain.from_iterable(zip(*chunk))))
 
 
 def _structure_flags(model) -> str:
@@ -339,7 +363,7 @@ def _structure_flags(model) -> str:
     return ", ".join(flags) if flags else "none"
 
 
-def _summary_stress_lines(name: str, entry: dict, model) -> list[str]:
+def _summary_stress_lines(name: str, model) -> list[str]:
     lines = [f"[stress {name}]", "converged = true"]
     lines.append(f"w2 = {FLOAT_FMT.format(model.w2)}")
     lines.append(f"zeta = {FLOAT_FMT.format(model.zeta)}")
@@ -361,37 +385,45 @@ def _summary_stress_lines(name: str, entry: dict, model) -> list[str]:
 def _prepare(config: dict, samples: SampleSet | None):
     """Shared set-up of ``stress`` and ``sensitivity``.
 
-    Checks the stress list, resolves samples and baseline and discretises
-    the baseline before it creates the output directory, so a bad
-    configuration leaves nothing behind.  Returns (output directory, stress
-    entries, samples, baseline distribution, baseline grid).
+    Checks ζ and the stress list, resolves samples and baseline, discretises
+    the baseline and builds every stress before it creates the output
+    directory, so a bad configuration leaves nothing behind.  Returns
+    (output directory, [(stress name, stress spec)], samples, baseline
+    distribution, baseline grid).
     """
     entries = _require(config, "stresses")
     if not entries:
         raise ConfigError("need at least one stress")
+    if not 0.0 <= float(config["zeta"]) < np.inf:
+        raise ConfigError("smoothing parameter zeta must be finite and >= 0")
     if samples is None:
         samples, _ = resolve_samples(config)
     baseline_spec = resolve_baseline(config, samples)
     baseline = discretize(baseline_spec, int(config["grid_n"]))
+    stresses = []
+    for entry in entries:
+        name = entry.get("name", entry.get("kind", "stress"))
+        try:
+            stresses.append((name, build_stress(entry, baseline)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"stress {name!r}: {exc}") from exc
     out_dir = Path(config["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, entries, samples, baseline_spec, baseline
+    return out_dir, stresses, samples, baseline_spec, baseline
 
 
 def run_stress(config: dict, samples: SampleSet | None = None) -> tuple[int, str]:
     """Solve every configured stress; returns (exit_code, summary_text)."""
     chash = config_hash(config)
-    out_dir, entries, samples, baseline_spec, baseline = _prepare(config, samples)
+    out_dir, stresses, samples, baseline_spec, baseline = _prepare(config, samples)
     grid_n = int(config["grid_n"])
     zeta = float(config["zeta"])
 
     lines = [f"config_hash = {chash}", f"grid_n = {grid_n}",
              f"zeta = {FLOAT_FMT.format(zeta)}"]
     code = EXIT_OK
-    for entry in entries:
-        name = entry.get("name", entry.get("kind", "stress"))
+    for name, spec in stresses:
         try:
-            spec = build_stress(entry, baseline)
             model = solve(baseline, spec, zeta=zeta)
         except NoSolutionError as exc:
             lines += [f"[stress {name}]", "converged = false",
@@ -406,7 +438,7 @@ def run_stress(config: dict, samples: SampleSet | None = None) -> tuple[int, str
                 lines.append(f"residuals = [{res}]")
             code = EXIT_NOT_CONVERGED
             break
-        lines += _summary_stress_lines(name, entry, model)
+        lines += _summary_stress_lines(name, model)
         _write_csv(
             out_dir / f"{name}_quantiles.csv",
             ["u", "baseline_q", "stressed_q"],
@@ -455,40 +487,35 @@ def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int
     chash = config_hash(config)
     if samples is None and config.get("input") is None:
         raise ConfigError("sensitivity requires input samples")
-    out_dir, entries, samples, baseline_spec, baseline = _prepare(config, samples)
-    zeta = float(config["zeta"])
     sens = config.get("sensitivity", {})
-    s_tags = sens.get("s_functions", ["identity"])
+    s_functions = [(tag, *_parse_s_tag(tag)) for tag in sens.get("s_functions", ["identity"])]
     pairs = [tuple(p) for p in sens.get("pairs", [])]
     pair_alpha = float(sens.get("pair_alpha", 0.95))
     want_delta = bool(sens.get("delta", False))
+    out_dir, stresses, samples, baseline_spec, baseline = _prepare(config, samples)
+    zeta = float(config["zeta"])
 
     weight_sets = {}
-    for entry in entries:
-        name = entry.get("name", entry.get("kind", "stress"))
-        model = solve(baseline, build_stress(entry, baseline), zeta=zeta)
+    for name, spec in stresses:
+        model = solve(baseline, spec, zeta=zeta)
         weight_sets[name] = rn_weights(samples, baseline_spec, model.stressed)
 
     header = ["stress", "input", "s_tag", "S", "numerator", "max_bound", "min_bound"]
     if want_delta:
         header += ["delta_baseline", "delta_stressed"]
     rows = []
-    delta_base = {}
+    # per input: the unweighted delta, then one per stress, from one call
+    deltas = {}
     if want_delta:
         for col in samples.columns:
-            delta_base[col] = delta_measure(samples.Y, samples.column(col))
-    for name, wset in weight_sets.items():
-        delta_stressed = {}
-        if want_delta:
-            for col in samples.columns:
-                delta_stressed[col] = delta_measure(
-                    samples.Y, samples.column(col), weights=wset
-                )
+            deltas[col] = delta_measure(
+                samples.Y, samples.column(col), [None, *weight_sets.values()]
+            )
+    for k, (name, wset) in enumerate(weight_sets.items(), start=1):
         report_rows = []
         for col in samples.columns:
             x = samples.column(col)
-            for tag in s_tags:
-                fn_name, param = _parse_s_tag(tag)
+            for tag, fn_name, param in s_functions:
                 s_vals = _S_BUILDERS[fn_name](x, param)
                 report_rows.append((col, tag, reverse_sensitivity(s_vals, wset)))
         for a, b in pairs:
@@ -503,8 +530,8 @@ def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int
             row = [name, target, tag, res.value, res.numerator, res.max_bound,
                    res.min_bound]
             if want_delta:
-                row += [delta_base.get(target, float("nan")),
-                        delta_stressed.get(target, float("nan"))]
+                delta = deltas.get(target)
+                row += [delta[0], delta[k]] if delta else [float("nan")] * 2
             rows.append(row)
 
     path = out_dir / "sensitivity.csv"

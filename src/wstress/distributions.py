@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -159,15 +160,22 @@ class Empirical:
     def quantile(self, u):
         return np.quantile(self.samples, u)  # numpy default = type-7 linear
 
+    @cached_property
+    def bandwidth(self) -> float:
+        """Silverman bandwidth of the sample, computed on first use."""
+        return silverman_bandwidth(self.samples)
+
+    @cached_property
+    def _density_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The KDE on a 4096-point grid reaching five bandwidths past the sample."""
+        h = self.bandwidth
+        grid = np.linspace(self.samples[0] - 5.0 * h, self.samples[-1] + 5.0 * h, 4096)
+        return grid, kde_density(self.samples, grid, bandwidth=h)
+
     def pdf(self, y):
         """Gaussian KDE with Silverman bandwidth, evaluated by interpolation."""
-        y = np.asarray(y, dtype=float)
-        h = silverman_bandwidth(self.samples)
-        lo = self.samples[0] - 5.0 * h
-        hi = self.samples[-1] + 5.0 * h
-        grid = np.linspace(lo, hi, 4096)
-        dens = kde_density(self.samples, grid, bandwidth=h)
-        return np.interp(y, grid, dens, left=0.0, right=0.0)
+        grid, dens = self._density_table
+        return np.interp(np.asarray(y, dtype=float), grid, dens, left=0.0, right=0.0)
 
 
 BaselineSpec = Union[Lognormal, Normal, Gamma, Empirical]

@@ -1,11 +1,14 @@
 """Weighted Gaussian kernel density estimation with the Silverman rule.
 
 The estimator is binned: each sample's weight goes to its nearest grid point
-(a histogram with bins centred on the grid), and the binned weights are
-convolved with a Gaussian kernel.  That keeps the cost O(n + m) instead of
-O(n * m); nearest-bin assignment shifts a sample by at most half a grid cell,
-which is small whenever the bandwidth spans a few grid cells (the callers
-guarantee that).
+(bins centred on the grid), and the binned weights are convolved with a
+Gaussian kernel.  That keeps the cost O(n + m) instead of O(n * m);
+nearest-bin assignment shifts a sample by at most half a grid cell, which is
+small whenever the bandwidth spans a few grid cells (the callers guarantee
+that).  Binning is one ``searchsorted`` of the samples into the sorted bin
+edges and one ``bincount`` of their weights, so the samples are never sorted;
+it assigns every sample to the same bin as ``np.histogram`` over those
+edges would (half-open bins, the last one closed).
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ def kde_density(values, grid, weights=None, bandwidth=None) -> np.ndarray:
     integrates to ~1 over the grid up to kernel mass lost at the edges.
     """
     v = np.asarray(values, dtype=float)
+    if np.isnan(v).any():
+        raise ValidationError("KDE samples contain NaN")
     g = np.asarray(grid, dtype=float)
     if g.size < 8:
         raise ValidationError("KDE grid needs at least 8 points")
@@ -83,7 +88,8 @@ def kde_density(values, grid, weights=None, bandwidth=None) -> np.ndarray:
     h = max(h, 0.51 * dx)  # kernel must resolve on the grid
     edges = np.concatenate((g - 0.5 * dx, [g[-1] + 0.5 * dx]))
     clipped = np.clip(v, edges[0], edges[-1])
-    hist, _ = np.histogram(clipped, bins=edges, weights=w)
+    cells = np.minimum(np.searchsorted(edges, clipped, side="right") - 1, g.size - 1)
+    hist = np.bincount(cells, weights=w, minlength=g.size)
     radius = int(np.ceil(4.0 * h / dx))
     ks = np.arange(-radius, radius + 1) * dx
     kernel = np.exp(-0.5 * (ks / h) ** 2)

@@ -24,7 +24,7 @@ from .distributions import (
     excess_jumps,
 )
 from .errors import ValidationError
-from .kde import kde_density, silverman_bandwidth, weighted_quantile
+from .kde import kde_density, weighted_quantile
 
 __all__ = [
     "SampleSet",
@@ -156,8 +156,7 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
         # baseline sample, so smoothing both with the same kernel and
         # bandwidth keeps the ratio free of one-sided estimator artifacts;
         # quantile jumps and atoms smear consistently on both sides.
-        bandwidth = silverman_bandwidth(baseline.samples)
-        g_stressed = kde_density(transported, grid, bandwidth=bandwidth)
+        g_stressed = kde_density(transported, grid, bandwidth=baseline.bandwidth)
         ratio = g_stressed / np.maximum(f_base, DENSITY_FLOOR)
     else:
         curve = cdf_and_density(stressed, DEFAULT_GRID_N)

@@ -9,6 +9,7 @@ values of s, so the bounds are plain rearrangement sums.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,10 +115,10 @@ def joint_tail_indicator_s(x_i, x_j, alpha: float):
 def delta_measure(
     y,
     x,
-    weights: WeightSet | None = None,
+    weights: WeightSet | None | Sequence[WeightSet | None] = None,
     bins: int = 20,
     min_per_bin: int = 50,
-) -> float:
+) -> float | list[float]:
     """Moment-independent sensitivity of the output to one input.
 
     Estimator: partition the input into ``bins`` (weighted) equal-probability
@@ -127,6 +128,15 @@ def delta_measure(
     range, and average half the L1 gap between conditional and marginal
     densities over bins.  Values lie in [0, 1]; binning by rank makes the
     estimate invariant under strictly monotone transforms of the input.
+
+    ``weights`` is ``None`` (the unweighted sample), one weight set, or a
+    list or tuple of them; the sequence form returns a list with one value
+    per entry, each equal to the one-set call.  The call sorts y and x
+    once, whatever the number of weight sets: a weight set's bins come from
+    the x order, and one stable argsort of the small integer bin labels
+    taken in y order (a linear radix sort) lists each bin's members in
+    ascending y.  Every weighted quantile and bandwidth below then gets
+    sorted input, on which its stable sort is linear.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -137,27 +147,47 @@ def delta_measure(
         raise ValidationError(
             f"need at least {bins * min_per_bin} samples for {bins} bins"
         )
-    w = np.ones(n) if weights is None else weights.w
-    lo, hi = weighted_quantile(y, [0.001, 0.999], w)
+    y_order = np.argsort(y, kind="stable")
+    x_order = np.argsort(x, kind="stable")
+    x_rank = np.empty(n, dtype=np.intp)
+    x_rank[x_order] = np.arange(n)
+    ys, x_rank_y = y[y_order], x_rank[y_order]
+    many = isinstance(weights, (list, tuple))
+    values = [
+        _delta_sorted(ys, y_order, x_order, x_rank_y, wset, bins, min_per_bin)
+        for wset in (weights if many else [weights])
+    ]
+    return values if many else values[0]
+
+
+def _delta_sorted(ys, y_order, x_order, x_rank_y, wset, bins, min_per_bin) -> float:
+    """One delta measure from the y-sorted output and each y-sorted sample's x rank."""
+    n = ys.size
+    w = np.ones(n) if wset is None else wset.w
+    if w.shape != ys.shape:
+        raise ValidationError("weights must match the samples in length")
+    wy = w[y_order]
+    lo, hi = weighted_quantile(ys, [0.001, 0.999], wy)
     if hi <= lo:
         raise ValidationError("degenerate output range")
     grid = np.linspace(lo, hi, DELTA_GRID_SIZE)
 
-    f_marginal = kde_density(y, grid, weights=w)
+    f_marginal = kde_density(ys, grid, weights=wy)
 
-    order = np.argsort(x, kind="stable")
-    cum = np.cumsum(w[order])
+    cum = np.cumsum(w[x_order])
     edges = np.searchsorted(cum, np.arange(1, bins) * cum[-1] / bins, side="left")
     edges = np.concatenate(([0], edges + 1, [n]))
+    labels = np.repeat(np.arange(bins, dtype=np.min_scalar_type(bins)), np.diff(edges))
+    by_bin = np.argsort(labels[x_rank_y], kind="stable")
     total = 0.0
     for b in range(bins):
-        members = order[edges[b] : edges[b + 1]]
+        members = by_bin[edges[b] : edges[b + 1]]
         if members.size < min_per_bin:
             raise ValidationError(f"bin {b} holds fewer than {min_per_bin} samples")
-        wb = w[members]
+        wb = wy[members]
         if wb.sum() <= 0.0:
             continue
-        f_bin = kde_density(y[members], grid, weights=wb)
+        f_bin = kde_density(ys[members], grid, weights=wb)
         p_bin = wb.sum() / cum[-1]
         total += p_bin * 0.5 * float(np.trapezoid(np.abs(f_bin - f_marginal), grid))
     return float(np.clip(total, 0.0, 1.0))

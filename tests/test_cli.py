@@ -1,14 +1,19 @@
+import csv
 import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wstress.cli import (
     EXIT_NO_SOLUTION,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    _read_csv_table,
+    _write_csv,
     main,
     read_sample_csv,
     run_stress,
@@ -434,3 +439,124 @@ class TestMalformedCsv:
         }
         assert main(["stress", str(write_config(tmp_path, config))]) == 1
         assert "bad.csv" in capsys.readouterr().err
+
+
+class TestPartialOutput:
+    """A configuration error in any stress stops the run before ``out`` exists."""
+
+    STRESSES = [
+        {"name": "a", "kind": "rm", "constraints": [{"gamma": "es", "alpha": 0.9, "bump": 0.1}]},
+        {"name": "b", "kind": "rm", "constraints": [{"gamma": "nope", "bump": 0.1}]},
+    ]
+
+    @pytest.mark.parametrize("command", ["stress", "sensitivity"])
+    def test_bad_later_stress_writes_nothing(self, tmp_path, command, capsys):
+        out = tmp_path / "out"
+        config = {
+            "out": str(out),
+            "grid_n": 256,
+            "input": {"scenario": {"n_samples": 1000}},
+            "baseline": {"kind": "empirical"},
+            "stresses": self.STRESSES,
+        }
+        assert main([command, str(write_config(tmp_path, config))]) == 1
+        assert "nope" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_number_exits_1(self, tmp_path, capsys):
+        stress = {"name": "v", "kind": "var", "alpha": "high", "bump": 0.1}
+        config = {
+            "out": str(tmp_path / "out"),
+            "grid_n": 256,
+            "baseline": {"kind": "lognormal", "mu": 0.0, "sigma": 1.0},
+            "stresses": [stress],
+        }
+        assert main(["stress", str(write_config(tmp_path, config))]) == 1
+        assert "stress 'v'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("zeta", ["inf", "-0.5"])
+    @pytest.mark.parametrize("command", ["stress", "sensitivity"])
+    def test_invalid_zeta_writes_nothing(self, tmp_path, command, zeta, capsys):
+        config = {
+            "out": str(tmp_path / "out"),
+            "grid_n": 256,
+            "input": {"scenario": {"n_samples": 1000}},
+            "baseline": {"kind": "empirical"},
+            "stresses": self.STRESSES[:1],
+        }
+        assert main([command, str(write_config(tmp_path, config)), "--zeta", zeta]) == 1
+        assert "zeta must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def per_cell_csv(header, columns, hash_line=None):
+    """The CSV text written one cell at a time with ``'{:.17g}'``."""
+    lines = [f"# config_hash={hash_line}"] if hash_line else []
+    lines.append(",".join(header))
+    for row in zip(*columns):
+        lines.append(",".join(v if isinstance(v, str) else "{:.17g}".format(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+               1.0, -3.0, 2.0**53, 1e16, 0.1, 1 / 3, 123456789.0]
+
+    def test_special_values_match_per_cell_format(self, tmp_path):
+        columns = [np.array(self.SPECIAL), np.arange(len(self.SPECIAL), dtype=float),
+                   list(reversed(self.SPECIAL))]
+        _write_csv(tmp_path / "t.csv", ["a", "b", "c"], columns, "abc")
+        expected = per_cell_csv(["a", "b", "c"], columns, "abc")
+        assert (tmp_path / "t.csv").read_text() == expected
+
+    def test_mixed_string_and_number_columns(self, tmp_path):
+        n = 20_000  # more rows than one formatting chunk
+        rng = np.random.default_rng(3)
+        columns = [[f"s{i % 7}" for i in range(n)], rng.normal(size=n),
+                   ["x" if i % 3 else float(i) for i in range(n)], list(range(n))]
+        header = ["name", "value", "mixed", "count"]
+        _write_csv(tmp_path / "t.csv", header, columns, None)
+        assert (tmp_path / "t.csv").read_text() == per_cell_csv(header, columns)
+
+    def test_zero_rows_write_header_only(self, tmp_path):
+        _write_csv(tmp_path / "a.csv", ["x", "y"], [], "h")
+        _write_csv(tmp_path / "b.csv", ["x", "y"], [np.array([]), []], None)
+        assert (tmp_path / "a.csv").read_text() == "# config_hash=h\nx,y\n"
+        assert (tmp_path / "b.csv").read_text() == "x,y\n"
+
+
+class TestCsvReader:
+    def reference(self, path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+        return [h.strip() for h in rows[0]], np.asarray(rows[1:], dtype=float)
+
+    @pytest.mark.parametrize("text", [
+        '# config_hash=1\n"a", b ,c\n"1.5",2, 3 \n\n4,"5e-3",-inf\n',
+        "a,b\r\n1,2\r\n\r\n3,4\r\n",
+        "# comment\n\nx,y,z\n0.1,-0,nan\n",
+        "only\n7\n8\n",
+    ], ids=["quoted_padded_blank", "crlf", "single_row", "one_column"])
+    def test_matches_csv_reader(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("utf-8"))
+        header, data = _read_csv_table(str(path))
+        ref_header, ref_data = self.reference(path)
+        assert header == ref_header
+        assert data.shape == ref_data.shape
+        assert np.array_equal(data, ref_data, equal_nan=True)
+        assert np.array_equal(np.signbit(data), np.signbit(ref_data))
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats(width=32), st.floats(allow_nan=False)),
+                    min_size=1, max_size=40))
+    def test_round_trip_is_exact(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("rt") / "t.csv"
+        data = np.array(rows, dtype=float)
+        _write_csv(path, ["a", "b", "c"], list(data.T), "h")
+        header, back = _read_csv_table(str(path))
+        assert header == ["a", "b", "c"]
+        assert back.shape == data.shape
+        assert np.array_equal(back, data, equal_nan=True)
+        assert np.array_equal(np.signbit(back[~np.isnan(back)]), np.signbit(data[~np.isnan(data)]))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from conftest import histogram_kde
 
 from wstress.errors import ValidationError
+from wstress.kde import weighted_quantile
 from wstress.reweight import WeightSet
 from wstress.sensitivity import (
     bivariate_reverse_sensitivity,
@@ -158,3 +160,54 @@ class TestSFunctions:
         x = np.arange(100.0)
         s = tail_indicator_s(x, 0.9)
         assert s.sum() == pytest.approx(np.sum(x > np.quantile(x, 0.9)))
+
+
+def delta_reference(y, x, w, bins=20):
+    """The delta estimator with a per-bin argsort and ``np.histogram`` binning."""
+    lo, hi = weighted_quantile(y, [0.001, 0.999], w)
+    grid = np.linspace(lo, hi, 512)
+    f_marginal = histogram_kde(y, grid, w)
+    order = np.argsort(x, kind="stable")
+    cum = np.cumsum(w[order])
+    edges = np.searchsorted(cum, np.arange(1, bins) * cum[-1] / bins, side="left")
+    edges = np.concatenate(([0], edges + 1, [y.size]))
+    total = 0.0
+    for b in range(bins):
+        members = order[edges[b] : edges[b + 1]]
+        f_bin = histogram_kde(y[members], grid, w[members])
+        total += w[members].sum() / cum[-1] * 0.5 * np.trapezoid(np.abs(f_bin - f_marginal), grid)
+    return total
+
+
+class TestDeltaMeasureWeightSets:
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(47)
+        n = 20_000
+        # rounded input and output: ties in both orders
+        x = np.round(rng.normal(size=n), 1)
+        y = np.round(x + 0.7 * rng.normal(size=n), 2)
+        sets = [WeightSet(np.exp(0.3 * rng.normal(size=n))), WeightSet(1.0 + (y > 1.0))]
+        return y, x, sets
+
+    def test_sequence_equals_single_calls(self, data):
+        y, x, sets = data
+        many = delta_measure(y, x, [None, *sets])
+        single = [delta_measure(y, x)] + [delta_measure(y, x, weights=w) for w in sets]
+        assert isinstance(many, list) and len(many) == 3
+        assert all(isinstance(v, float) for v in single)
+        assert many == pytest.approx(single, rel=1e-12, abs=1e-12)
+        assert delta_measure(y, x, (sets[0],)) == pytest.approx([single[1]], abs=1e-12)
+
+    def test_matches_per_bin_histogram_estimator(self, data):
+        y, x, sets = data
+        got = delta_measure(y, x, [None, *sets])
+        ref = [delta_reference(y, x, np.ones(y.size))] + [
+            delta_reference(y, x, w.w) for w in sets
+        ]
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    def test_weight_length_mismatch_rejected(self, data):
+        y, x, _ = data
+        with pytest.raises(ValidationError):
+            delta_measure(y, x, [None, WeightSet(np.ones(y.size - 1))])
