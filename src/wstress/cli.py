@@ -111,6 +111,11 @@ def load_config(path: str, overrides: dict) -> dict:
     config.setdefault("zeta", 0.0)
     config.setdefault("seed", 0)
     config.setdefault("out", "wstress-out")
+    for key, kind in (("grid_n", int), ("zeta", float)):
+        try:
+            config[key] = kind(config[key])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"config key {key!r} must be a number, got {config[key]!r}") from exc
     return config
 
 
@@ -202,21 +207,29 @@ def _scenario_config(config: dict) -> SpatialConfig:
 
 def resolve_baseline(config: dict, samples: SampleSet | None):
     section = config.get("baseline", {"kind": "empirical"})
-    kind = section.get("kind", "empirical").lower()
+    if not isinstance(section, dict):
+        raise ConfigError("baseline must be a mapping")
+    kind = str(section.get("kind", "empirical")).lower()
+
+    def number(key, default=None):
+        value = section.get(key, default)
+        if value is None:
+            raise ConfigError(f"{kind} baseline is missing {key!r}")
+        try:
+            return float(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{kind} baseline {key!r} must be a number, got {value!r}") from exc
+
     if kind == "empirical":
         if samples is None:
             raise ConfigError("empirical baseline requires input samples")
         return Empirical(samples.Y)
     if kind == "lognormal":
-        return Lognormal(mu=float(section["mu"]), sigma=float(section["sigma"]))
+        return Lognormal(mu=number("mu"), sigma=number("sigma"))
     if kind == "normal":
-        return Normal(mu=float(section["mu"]), sigma=float(section["sigma"]))
+        return Normal(mu=number("mu"), sigma=number("sigma"))
     if kind == "gamma":
-        return Gamma(
-            shape=float(section["shape"]),
-            rate=float(section["rate"]),
-            shift=float(section.get("shift", 0.0)),
-        )
+        return Gamma(shape=number("shape"), rate=number("rate"), shift=number("shift", 0.0))
     raise ConfigError(f"unknown baseline kind {kind!r}")
 
 
@@ -394,12 +407,12 @@ def _prepare(config: dict, samples: SampleSet | None):
     entries = _require(config, "stresses")
     if not entries:
         raise ConfigError("need at least one stress")
-    if not 0.0 <= float(config["zeta"]) < np.inf:
+    if not 0.0 <= config["zeta"] < np.inf:
         raise ConfigError("smoothing parameter zeta must be finite and >= 0")
     if samples is None:
         samples, _ = resolve_samples(config)
     baseline_spec = resolve_baseline(config, samples)
-    baseline = discretize(baseline_spec, int(config["grid_n"]))
+    baseline = discretize(baseline_spec, config["grid_n"])
     stresses = []
     for entry in entries:
         name = entry.get("name", entry.get("kind", "stress"))
@@ -416,8 +429,8 @@ def run_stress(config: dict, samples: SampleSet | None = None) -> tuple[int, str
     """Solve every configured stress; returns (exit_code, summary_text)."""
     chash = config_hash(config)
     out_dir, stresses, samples, baseline_spec, baseline = _prepare(config, samples)
-    grid_n = int(config["grid_n"])
-    zeta = float(config["zeta"])
+    grid_n = config["grid_n"]
+    zeta = config["zeta"]
 
     lines = [f"config_hash = {chash}", f"grid_n = {grid_n}",
              f"zeta = {FLOAT_FMT.format(zeta)}"]
@@ -493,7 +506,7 @@ def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int
     pair_alpha = float(sens.get("pair_alpha", 0.95))
     want_delta = bool(sens.get("delta", False))
     out_dir, stresses, samples, baseline_spec, baseline = _prepare(config, samples)
-    zeta = float(config["zeta"])
+    zeta = config["zeta"]
 
     weight_sets = {}
     for name, spec in stresses:
@@ -577,7 +590,7 @@ def run_smooth(config: dict) -> tuple[int, str]:
     if column not in header:
         raise ConfigError(f"{csv_path} lacks column {column!r}")
     values = data[:, header.index(column)]
-    zeta = float(config["zeta"])
+    zeta = config["zeta"]
     smoothed = spav(values, zeta=zeta)
     u = midpoint_grid(values.size)
     path = out_dir / "smoothed.csv"

@@ -397,6 +397,31 @@ class TestConfigErrors:
         assert main(["stress", str(cfg), "--zeta", zeta]) == 1
         assert "zeta must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change, key", [
+        ({"zeta": "abc"}, "zeta"),
+        ({"grid_n": "x"}, "grid_n"),
+        ({"baseline": {"kind": "lognormal", "sigma": 0.5}}, "mu"),
+        ({"baseline": {"kind": "gamma", "shape": 2.0, "rate": "fast"}}, "rate"),
+    ], ids=["zeta", "grid_n", "missing_mu", "non_numeric_rate"])
+    @pytest.mark.parametrize("command", ["stress", "sensitivity"])
+    def test_malformed_value_exits_1_and_writes_nothing(
+        self, tmp_path, command, change, key, capsys
+    ):
+        out = tmp_path / "out"
+        config = {
+            "out": str(out),
+            "grid_n": 256,
+            "input": {"scenario": {"n_samples": 500}},
+            "baseline": {"kind": "lognormal", "mu": 0.875, "sigma": 0.5},
+            "stresses": [{"name": "s", "kind": "rm",
+                          "constraints": [{"gamma": "es", "alpha": 0.9, "bump": 0.1}]}],
+            **change,
+        }
+        assert main([command, str(write_config(tmp_path, config))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not out.exists()
+
 
 MALFORMED_CSV = {
     "comments_only": "# config_hash = 0\n# nothing else\n",

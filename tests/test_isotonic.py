@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_smoothed_isotonic_kkt, smoothed_isotonic_oracle
+from wstress import isotonic
+from wstress.distributions import Lognormal, discretize
 from wstress.errors import ValidationError
 from wstress.isotonic import GridFunction, as_weights, pav, project, spav
+from wstress.risk_measures import es_weight, eval_rm
+from wstress.stress_solvers import RmConstraint, RmStress, solve
 
 
 class TestPav:
@@ -72,6 +76,141 @@ class TestPav:
             np.testing.assert_allclose(
                 pav(v, w), smoothed_isotonic_oracle(v, w), atol=1e-9
             )
+
+
+GAP = isotonic._WINDOW_GAP
+
+
+@st.composite
+def pav_problems(draw):
+    """(v, w) rising with a few drops, or tied, noisy, monotone or decreasing throughout."""
+    n = draw(st.integers(1, 700))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["drops", "ties", "noisy", "monotone", "decreasing"]))
+    if kind == "ties":
+        v = np.sort(rng.integers(0, 6, size=n)).astype(float)
+    elif kind == "noisy":
+        v = rng.normal(size=n)
+    else:
+        v = np.cumsum(rng.uniform(0.0, 1.0, size=n) * (rng.uniform(size=n) < 0.8))
+        if kind == "decreasing":
+            v = -v
+    if kind in ("drops", "ties") and n > 1:
+        # drops between cells p and p+1: clusters start at cell 0, mid-vector
+        # or cell n-2 and step by 1, 3, exactly one gap, or just over it
+        p = draw(st.sampled_from([0, n // 2, n - 2]))
+        for _ in range(draw(st.integers(1, 6))):
+            if p > n - 2:
+                break
+            size = draw(st.sampled_from([1e-3, 1.0, 10.0 * (abs(v[-1] - v[0]) + 1.0)]))
+            v[p + 1:] -= size
+            p += draw(st.sampled_from([1, 3, GAP, GAP + 1, GAP + 2, 5 * GAP]))
+    v = v * draw(st.sampled_from([1.0, 1e-3, 1e3, np.pi]))
+    weights = draw(st.sampled_from(["ones", "uniform", "zeros", "integers"]))
+    if weights == "ones":
+        w = np.ones(n)
+    elif weights == "integers":
+        w = rng.integers(1, 4, size=n).astype(float)
+    else:
+        w = rng.uniform(0.0, 2.0, size=n)
+        if weights == "zeros":
+            w[rng.uniform(size=n) < draw(st.sampled_from([0.3, 0.9, 1.0]))] = 0.0
+    return v, w
+
+
+def assert_same_blocks(v, w):
+    """Windowed pooling equals the full loop bit for bit."""
+    ends, means = isotonic._pav_blocks(v, w)
+    full_ends, full_means = isotonic._pav_kernel(v, w)
+    np.testing.assert_array_equal(ends, full_ends)
+    assert means.tobytes() == full_means.tobytes()
+
+
+class TestWindowedPav:
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(pav_problems())
+    def test_matches_full_loop_bit_for_bit(self, problem):
+        assert_same_blocks(*problem)
+
+    @pytest.mark.parametrize("where", ["first", "last", "one_gap_apart", "overlapping"])
+    def test_edge_violations(self, where):
+        n = 8 * GAP
+        v = np.linspace(0.0, 1.0, n)
+        drops = {"first": [0], "last": [n - 2],
+                 "one_gap_apart": [2 * GAP, 3 * GAP, 4 * GAP],
+                 "overlapping": [2 * GAP, 3 * GAP + 1]}[where]
+        for p in drops:
+            v[p + 1:] -= 0.4
+        assert_same_blocks(v, np.ones(n))
+
+    def test_window_pools_into_the_window_it_touches(self):
+        # the first window doubles right to end exactly where the second
+        # starts; the second's pool then falls below the first's last block
+        # but stays above that block's last cell, so only comparing with the
+        # block mean merges them
+        pad, rise, eps, d = isotonic._WINDOW_PAD, 1e-3, 1e-4, 200
+        stop = d + 3 * pad + 4
+        d2 = stop + pad
+        assert d2 - d > GAP
+        n = d2 + 200
+        v = np.arange(n) * rise
+        v[d + 1:stop] = v[d] - eps
+        v[stop:] += 1.0
+        target = v[d] - eps * (1.0 - 0.5 / (stop - d))
+        v[d2 + 1] = target * (d2 + 2 - stop) - v[stop:d2 + 1].sum()
+        assert_same_blocks(v, np.ones(n))
+        ends, _ = isotonic._pav_blocks(v, np.ones(n))
+        assert not np.any((ends > d) & (ends < d2 + 2))
+
+    def test_long_rise_ending_in_large_drop_widens_repeatedly(self, monkeypatch):
+        n = 4096
+        v = np.linspace(0.0, 1.0, n)
+        v[-1] = -50.0
+        runs = []
+        kernel = isotonic._pav_kernel
+
+        def counting(v, w, floor=-np.inf):
+            runs.append(v.size)
+            return kernel(v, w, floor)
+
+        monkeypatch.setattr(isotonic, "_pav_kernel", counting)
+        assert_same_blocks(v, np.ones(n))
+        assert len(runs) >= 5  # the window doubled several times
+        ends, _ = isotonic._pav_blocks(v, np.ones(n))
+        assert n - ends[-2] > 8 * GAP  # the drop pools far back into the rise
+
+    def test_nondecreasing_input_skips_the_loop(self, monkeypatch):
+        monkeypatch.setattr(isotonic, "_pav_kernel", None)
+        v = np.array([-0.0, 0.0, 0.0, 1.0, 2.0])
+        ends, means = isotonic._pav_blocks(v, np.ones(5))
+        assert ends.tolist() == [1, 2, 3, 4, 5]
+        assert means.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("bumps", [[(0.95, 0.10)], [(0.8, 0.0), (0.95, 0.05)]],
+                             ids=["es95_up", "es95_up_es80_held"])
+    def test_rm_stress_pools_a_small_share_of_the_grid(self, monkeypatch, bumps):
+        # a silent fallback to the full loop would pass every correctness test
+        n = 4096
+        grid = discretize(Lognormal(0.875, 0.5), n)
+        pooled, calls = [], []
+        kernel, blocks = isotonic._pav_kernel, isotonic._pav_blocks
+
+        def counting_kernel(v, w, floor=-np.inf):
+            pooled.append(v.size)
+            return kernel(v, w, floor)
+
+        def counting_blocks(v, w):
+            calls.append(v.size)
+            return blocks(v, w)
+
+        monkeypatch.setattr(isotonic, "_pav_kernel", counting_kernel)
+        monkeypatch.setattr(isotonic, "_pav_blocks", counting_blocks)
+        stress = RmStress(tuple(
+            RmConstraint(es_weight(a, n), eval_rm(grid, es_weight(a, n)) * (1.0 + b))
+            for a, b in bumps))
+        solve(grid, stress)
+        assert calls and set(calls) == {n}
+        assert sum(pooled) <= len(calls) * n // 8
 
 
 class TestSpav:
