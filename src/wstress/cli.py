@@ -207,9 +207,7 @@ def _scenario_config(config: dict) -> SpatialConfig:
 
 def resolve_baseline(config: dict, samples: SampleSet | None):
     section = config.get("baseline", {"kind": "empirical"})
-    if not isinstance(section, dict):
-        raise ConfigError("baseline must be a mapping")
-    kind = str(section.get("kind", "empirical")).lower()
+    kind = section.get("kind", "empirical").lower()
 
     def number(key, default=None):
         value = section.get(key, default)

@@ -198,7 +198,8 @@ def pav(values, weights=None) -> np.ndarray:
     """
     v = _validated_values(values)
     w = np.ones(v.size) if weights is None else as_weights(weights, v.size)
-    return _expand(*_pav_blocks(v, w))
+    ends, means = _pav_blocks(v, w)
+    return means if means.size == v.size else _expand(ends, means)
 
 
 def spav(values, weights=None, zeta: float = 0.0, u=None) -> np.ndarray:

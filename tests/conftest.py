@@ -28,6 +28,41 @@ def histogram_kde(values, grid, weights=None, bandwidth=None):
     return np.convolve(hist, kernel, mode="same")
 
 
+def pav_loop_blocks(v, w):
+    """Pool-adjacent-violators on numpy arrays, one cell at a time over all of ``v``.
+
+    The reference for ``isotonic._pav_kernel`` and ``_pav_blocks``: the same
+    pooling order and arithmetic, so (ends, means) must agree bit for bit.
+    """
+    n = v.size
+    ends = np.empty(n, dtype=np.intp)
+    means = np.empty(n)
+    wsum = np.empty(n)
+    wvsum = np.empty(n)
+    vsum = np.empty(n)
+    m = 0
+    for i in range(n):
+        bw = w[i]
+        bwv = w[i] * v[i]
+        bv = v[i]
+        end = i + 1
+        mu = v[i]
+        while m > 0 and means[m - 1] > mu:
+            m -= 1
+            bw += wsum[m]
+            bwv += wvsum[m]
+            bv += vsum[m]
+            start = ends[m - 1] if m > 0 else 0
+            mu = bwv / bw if bw > 0.0 else bv / (end - start)
+        ends[m] = end
+        means[m] = mu
+        wsum[m] = bw
+        wvsum[m] = bwv
+        vsum[m] = bv
+        m += 1
+    return ends[:m].copy(), means[:m].copy()
+
+
 def block_partitions(n):
     """All ways to cut 1..n into consecutive blocks (2**(n-1) of them)."""
     for cuts in itertools.product((False, True), repeat=n - 1):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_smoothed_isotonic_kkt, smoothed_isotonic_oracle
+from conftest import assert_smoothed_isotonic_kkt, pav_loop_blocks, smoothed_isotonic_oracle
 from wstress import isotonic
 from wstress.distributions import Lognormal, discretize
 from wstress.errors import ValidationError
@@ -119,11 +119,11 @@ def pav_problems(draw):
 
 
 def assert_same_blocks(v, w):
-    """Windowed pooling equals the full loop bit for bit."""
+    """Windowed pooling equals the full loop bit for bit, and so does the kernel."""
     ends, means = isotonic._pav_blocks(v, w)
-    full_ends, full_means = isotonic._pav_kernel(v, w)
-    np.testing.assert_array_equal(ends, full_ends)
-    assert means.tobytes() == full_means.tobytes()
+    for full_ends, full_means in (isotonic._pav_kernel(v, w), pav_loop_blocks(v, w)):
+        np.testing.assert_array_equal(ends, full_ends)
+        assert means.tobytes() == full_means.tobytes()
 
 
 class TestWindowedPav:
@@ -174,10 +174,10 @@ class TestWindowedPav:
             return kernel(v, w, floor)
 
         monkeypatch.setattr(isotonic, "_pav_kernel", counting)
-        assert_same_blocks(v, np.ones(n))
-        assert len(runs) >= 5  # the window doubled several times
         ends, _ = isotonic._pav_blocks(v, np.ones(n))
+        assert len(runs) >= 5  # the window doubled several times
         assert n - ends[-2] > 8 * GAP  # the drop pools far back into the rise
+        assert_same_blocks(v, np.ones(n))
 
     def test_nondecreasing_input_skips_the_loop(self, monkeypatch):
         monkeypatch.setattr(isotonic, "_pav_kernel", None)
