@@ -12,6 +12,7 @@ Subcommands
 Exit codes: 0 ok, 1 I/O or configuration error, 2 solver non-convergence,
 3 no-solution (quantile stress direction).  Configuration is a single YAML
 document; ``--seed``, ``--out``, ``--grid-n`` and ``--zeta`` override it.
+Each command reads all of it through ``_get`` before it creates ``out``.
 Every emitted CSV carries the configuration hash in a leading comment line
 (the simulate sample CSV keeps a bare header for interoperability; its hash
 lives in the metadata sidecar).
@@ -43,7 +44,7 @@ from .distributions import (
     flat_segments,
     midpoint_grid,
 )
-from .errors import NoSolutionError, NotConvergedError, WstressError
+from .errors import NoSolutionError, NotConvergedError, ValidationError, WstressError
 from .isotonic import spav
 from .reweight import SampleSet, rn_weights
 from .risk_measures import (
@@ -55,7 +56,7 @@ from .risk_measures import (
     var,
     var_plus,
 )
-from .scenario import SpatialConfig, generate
+from .scenario import SpatialConfig, default_locations, generate
 from .sensitivity import (
     delta_measure,
     identity_s,
@@ -91,10 +92,46 @@ class ConfigError(WstressError):
 
 
 # ----------------------------------------------------------------------------
-# configuration loading
+# configuration reading
+
+_REQUIRED = object()
+#: how ``_get`` names a kind in its messages; the first three are type checks
+_KIND_NAMES = {str: "a string", list: "a list", dict: "a mapping",
+               float: "a number", int: "an integer"}
+
+
+def _get(section, key: str, kind, default=_REQUIRED, where: str = "config"):
+    """``section[key]`` as ``kind``: the one place a configuration value is decoded.
+
+    A ``str``, ``list`` or ``dict`` value is type checked; any other ``kind``
+    converts it.  An absent or null key gives ``default`` or, without one, an
+    error.  Errors are :class:`ConfigError` naming ``where`` (the path of
+    ``section``, which must be a mapping) and ``key``.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
+    if key not in section and default is _REQUIRED:
+        raise ConfigError(f"{where} is missing {key!r}")
+    value = section.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    if kind in (str, list, dict):
+        if isinstance(value, kind):
+            return value
+    else:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{where} {key!r} must be {_KIND_NAMES.get(kind, 'numeric')}, got {value!r}")
 
 
 def load_config(path: str, overrides: dict) -> dict:
+    """The YAML configuration at ``path`` with the command-line overrides applied.
+
+    Fills in the top-level defaults and stores ``grid_n`` as an int and
+    ``zeta`` as a float; ``config_hash`` sees every other key as written.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = yaml.safe_load(fh)
@@ -104,18 +141,10 @@ def load_config(path: str, overrides: dict) -> dict:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config must be a mapping")
-    for key, value in overrides.items():
-        if value is not None:
-            config[key] = value
-    config.setdefault("grid_n", DEFAULT_GRID_N)
-    config.setdefault("zeta", 0.0)
-    config.setdefault("seed", 0)
-    config.setdefault("out", "wstress-out")
-    for key, kind in (("grid_n", int), ("zeta", float)):
-        try:
-            config[key] = kind(config[key])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"config key {key!r} must be a number, got {config[key]!r}") from exc
+    defaults = {"grid_n": DEFAULT_GRID_N, "zeta": 0.0, "seed": 0, "out": "wstress-out"}
+    config = {**defaults, **config, **{k: v for k, v in overrides.items() if v is not None}}
+    config["grid_n"] = _get(config, "grid_n", int)
+    config["zeta"] = _get(config, "zeta", float)
     return config
 
 
@@ -124,10 +153,11 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return config[key]
+def _make_out(config: dict) -> Path:
+    """Create the output directory ``out``; each command calls this after its last check."""
+    out_dir = Path(_get(config, "out", str))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 # ----------------------------------------------------------------------------
@@ -182,11 +212,12 @@ def read_sample_csv(path: str, output_column: str = "Y") -> tuple[SampleSet, np.
 
 
 def resolve_samples(config: dict) -> tuple[SampleSet | None, np.ndarray | None]:
-    section = config.get("input")
+    section = _get(config, "input", dict, None)
     if section is None:
         return None, None
-    if "csv" in section:
-        return read_sample_csv(section["csv"], section.get("output_column", "Y"))
+    csv_path = _get(section, "csv", str, None, "input")
+    if csv_path is not None:
+        return read_sample_csv(csv_path, _get(section, "output_column", str, "Y", "input"))
     if "scenario" in section:
         out = generate(_scenario_config(config))
         return out.samples, out.theta
@@ -195,133 +226,131 @@ def resolve_samples(config: dict) -> tuple[SampleSet | None, np.ndarray | None]:
 
 def _scenario_config(config: dict) -> SpatialConfig:
     """The spatial scenario of ``input.scenario``; its seed defaults to the run seed."""
-    section = (config.get("input") or {}).get("scenario") or {}
-    kwargs = {
-        "n_samples": int(section.get("n_samples", 100_000)),
-        "seed": int(section.get("seed", config["seed"])),
-    }
-    if "locations" in section:
-        kwargs["locations"] = np.asarray(section["locations"], dtype=float)
-    return SpatialConfig(**kwargs)
+    where = "input.scenario"
+    section = _get(_get(config, "input", dict, {}), "scenario", dict, {}, "input")
+    seed = _get(section, "seed", int, None, where)
+    return SpatialConfig(
+        n_samples=_get(section, "n_samples", int, 100_000, where),
+        seed=_get(config, "seed", int) if seed is None else seed,
+        locations=_get(section, "locations", lambda v: np.asarray(v, dtype=float),
+                       default_locations(), where),
+    )
 
 
 def resolve_baseline(config: dict, samples: SampleSet | None):
-    section = config.get("baseline", {"kind": "empirical"})
-    kind = section.get("kind", "empirical").lower()
-
-    def number(key, default=None):
-        value = section.get(key, default)
-        if value is None:
-            raise ConfigError(f"{kind} baseline is missing {key!r}")
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{kind} baseline {key!r} must be a number, got {value!r}") from exc
-
+    section = _get(config, "baseline", dict, {"kind": "empirical"})
+    kind = _get(section, "kind", str, "empirical", "baseline").lower()
+    where = f"{kind} baseline"
     if kind == "empirical":
         if samples is None:
             raise ConfigError("empirical baseline requires input samples")
         return Empirical(samples.Y)
-    if kind == "lognormal":
-        return Lognormal(mu=number("mu"), sigma=number("sigma"))
-    if kind == "normal":
-        return Normal(mu=number("mu"), sigma=number("sigma"))
+    if kind in ("lognormal", "normal"):
+        family = Lognormal if kind == "lognormal" else Normal
+        return family(mu=_get(section, "mu", float, where=where),
+                      sigma=_get(section, "sigma", float, where=where))
     if kind == "gamma":
-        return Gamma(shape=number("shape"), rate=number("rate"), shift=number("shift", 0.0))
+        return Gamma(shape=_get(section, "shape", float, where=where),
+                     rate=_get(section, "rate", float, where=where),
+                     shift=_get(section, "shift", float, 0.0, where))
     raise ConfigError(f"unknown baseline kind {kind!r}")
 
 
 # ----------------------------------------------------------------------------
 # stress construction
 
-
-def _resolve_target(entry: dict, baseline_value: float, what: str) -> float:
-    if "target" in entry:
-        return float(entry["target"])
-    if "bump" in entry:
-        return baseline_value * (1.0 + float(entry["bump"]))
-    raise ConfigError(f"{what} needs either 'target' or 'bump'")
+#: the parameters each distortion weight of ``make_gamma`` needs
+_GAMMA_PARAMS = {"mean": (), "es": ("alpha",), "rvar": ("alpha", "beta"),
+                 "alpha_beta": ("alpha", "beta", "p")}
 
 
-def _rm_constraints(entries, baseline: QuantileGrid) -> tuple[RmConstraint, ...]:
+def _resolve_target(entry: dict, baseline_value: float, where: str) -> float:
+    """``target``, or the baseline value scaled by ``1 + bump``."""
+    target = _get(entry, "target", float, None, where)
+    if target is not None:
+        return target
+    bump = _get(entry, "bump", float, None, where)
+    if bump is None:
+        raise ConfigError(f"{where} needs either 'target' or 'bump'")
+    return baseline_value * (1.0 + bump)
+
+
+def _rm_constraints(entry: dict, baseline: QuantileGrid, where: str) -> tuple[RmConstraint, ...]:
+    """The risk-measure ``constraints`` of a stress entry."""
     out = []
-    for entry in entries or []:
-        kind = entry.get("gamma", "es")
-        params = {
-            k: float(entry[k]) for k in ("alpha", "beta", "p") if k in entry
-        }
+    for i, sub in enumerate(_get(entry, "constraints", list, [], where)):
+        at = f"{where} constraint {i}"
+        kind = _get(sub, "gamma", str, "es", at)
+        params = {k: _get(sub, k, float, where=at) for k in _GAMMA_PARAMS.get(kind.lower(), ())}
         weight = make_gamma(kind, baseline.n, **params)
-        target = _resolve_target(entry, eval_rm(baseline, weight), f"{kind} constraint")
+        target = _resolve_target(sub, eval_rm(baseline, weight), at)
         out.append(RmConstraint(weight=weight, target=target))
     return tuple(out)
 
 
-def _integral_h(entry: dict, n: int) -> np.ndarray:
-    kind = entry.get("h", "const")
+def _integral_h(entry: dict, n: int, where: str) -> np.ndarray:
+    kind = _get(entry, "h", str, "const", where)
     u = midpoint_grid(n)
     if kind == "const":
         return np.ones(n)
     if kind == "upper_indicator":
-        return (u > float(entry["alpha"])).astype(float)
+        return (u > _get(entry, "alpha", float, where=where)).astype(float)
     if kind == "lower_indicator":
-        return (u < float(entry["alpha"])).astype(float)
-    raise ConfigError(f"unknown integral constraint function {kind!r}")
+        return (u < _get(entry, "alpha", float, where=where)).astype(float)
+    raise ConfigError(f"{where}: unknown integral constraint function {kind!r}")
 
 
-def build_stress(entry: dict, baseline: QuantileGrid):
-    kind = _require(entry, "kind").lower()
+def _integral_constraints(entry: dict, baseline: QuantileGrid, where: str, key: str, cls, power):
+    """The bounds of an integral stress under ``key``: on the grid mean of h * q**power."""
+    out = []
+    for i, sub in enumerate(_get(entry, key, list, [], where)):
+        at = f"{where} {key} {i}"
+        h = _integral_h(sub, baseline.n, at)
+        bound = _resolve_target(sub, float(np.mean(h * baseline.q**power)), at)
+        out.append(cls(h=h, bound=bound, name=_get(sub, "name", str, f"{key}{i}", at)))
+    return tuple(out)
+
+
+def build_stress(entry: dict, baseline: QuantileGrid, where: str = "stress"):
+    """The stress spec of one ``stresses`` entry; ``where`` names the entry in errors."""
+    kind = _get(entry, "kind", str, where=where).lower()
     if kind == "rm":
-        return RmStress(_rm_constraints(_require(entry, "constraints"), baseline))
+        return RmStress(_rm_constraints(entry, baseline, where))
     if kind == "mean_var_rm":
         base_mean, base_sd = mean_sd(baseline)
-        mean = _resolve_target(entry.get("mean", {"bump": 0.0}), base_mean, "mean")
-        sd = _resolve_target(entry.get("sd", {"bump": 0.0}), base_sd, "sd")
+        mean = _get(entry, "mean", dict, {"bump": 0.0}, where)
+        sd = _get(entry, "sd", dict, {"bump": 0.0}, where)
         return MeanVarRm(
-            mean=mean, sd=sd, constraints=_rm_constraints(entry.get("constraints"), baseline)
+            mean=_resolve_target(mean, base_mean, f"{where} mean"),
+            sd=_resolve_target(sd, base_sd, f"{where} sd"),
+            constraints=_rm_constraints(entry, baseline, where),
         )
     if kind == "var":
-        alpha = float(_require(entry, "alpha"))
-        side = entry.get("side", "left")
+        alpha = _get(entry, "alpha", float, where=where)
+        side = _get(entry, "side", str, "left", where)
         base = var(baseline, alpha) if side == "left" else var_plus(baseline, alpha)
-        return VarStress(alpha=alpha, value=_resolve_target(entry, base, "var"), kind=side)
+        return VarStress(alpha=alpha, value=_resolve_target(entry, base, where), kind=side)
     if kind == "utility_rm":
-        usec = entry.get("utility", {})
+        usec = _get(entry, "utility", dict, {}, where)
+        at = f"{where} utility"
         utility = HARAUtility(
-            a=float(usec.get("a", 1.0)),
-            b=float(usec.get("b", 5.0)),
-            eta=float(usec.get("eta", 0.5)),
+            a=_get(usec, "a", float, 1.0, at),
+            b=_get(usec, "b", float, 5.0, at),
+            eta=_get(usec, "eta", float, 0.5, at),
         )
         floor = _resolve_target(
-            _require(entry, "floor"), expected_utility(baseline, utility), "utility floor"
+            _get(entry, "floor", dict, where=where), expected_utility(baseline, utility),
+            f"{where} floor",
         )
-        return UtilityRm(
-            utility=utility,
-            floor=floor,
-            constraints=_rm_constraints(entry.get("constraints"), baseline),
-        )
+        return UtilityRm(utility=utility, floor=floor,
+                         constraints=_rm_constraints(entry, baseline, where))
     if kind == "integral":
-        linear = []
-        for sub in entry.get("linear", []) or []:
-            h = _integral_h(sub, baseline.n)
-            base = float(np.mean(h * baseline.q))
-            linear.append(
-                LinearConstraint(
-                    h=h, bound=_resolve_target(sub, base, "linear bound"),
-                    name=sub.get("name", f"linear{len(linear)}"),
-                )
-            )
-        quadratic = []
-        for sub in entry.get("quadratic", []) or []:
-            h = _integral_h(sub, baseline.n)
-            base = float(np.mean(h * baseline.q**2))
-            quadratic.append(
-                QuadraticConstraint(
-                    h=h, bound=_resolve_target(sub, base, "quadratic bound"),
-                    name=sub.get("name", f"quadratic{len(quadratic)}"),
-                )
-            )
-        return IntegralStress(linear=tuple(linear), quadratic=tuple(quadratic))
-    raise ConfigError(f"unknown stress kind {kind!r}")
+        return IntegralStress(
+            linear=_integral_constraints(entry, baseline, where, "linear", LinearConstraint, 1),
+            quadratic=_integral_constraints(entry, baseline, where, "quadratic",
+                                            QuadraticConstraint, 2),
+        )
+    raise ConfigError(f"{where}: unknown stress kind {kind!r}")
 
 
 # ----------------------------------------------------------------------------
@@ -393,47 +422,50 @@ def _summary_stress_lines(name: str, model) -> list[str]:
 # subcommands
 
 
-def _prepare(config: dict, samples: SampleSet | None):
-    """Shared set-up of ``stress`` and ``sensitivity``.
+def _prepare(config: dict):
+    """The configuration ``stress`` and ``sensitivity`` share, decoded.
 
-    Checks ζ and the stress list, resolves samples and baseline, discretises
-    the baseline and builds every stress before it creates the output
-    directory, so a bad configuration leaves nothing behind.  Returns
-    (output directory, [(stress name, stress spec)], samples, baseline
-    distribution, baseline grid).
+    Checks ζ, resolves samples and baseline, discretises the baseline and
+    builds every stress, whose name must be a distinct plain file name and
+    appears in any error it raises.  Returns ({stress name: stress spec},
+    samples, baseline distribution, baseline grid).
     """
-    entries = _require(config, "stresses")
+    entries = _get(config, "stresses", list)
     if not entries:
         raise ConfigError("need at least one stress")
     if not 0.0 <= config["zeta"] < np.inf:
         raise ConfigError("smoothing parameter zeta must be finite and >= 0")
-    if samples is None:
-        samples, _ = resolve_samples(config)
+    samples, _ = resolve_samples(config)
     baseline_spec = resolve_baseline(config, samples)
     baseline = discretize(baseline_spec, config["grid_n"])
-    stresses = []
-    for entry in entries:
-        name = entry.get("name", entry.get("kind", "stress"))
+    stresses = {}
+    for i, entry in enumerate(entries):
+        at = f"stress {i}"
+        name = _get(entry, "name", str, _get(entry, "kind", str, "stress", at), at)
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ConfigError(f"stress name {name!r} is not a plain file name")
+        if name in stresses:
+            raise ConfigError(f"stress name {name!r} is used twice; give each stress its own name")
+        where = f"stress {name!r}"
         try:
-            stresses.append((name, build_stress(entry, baseline)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"stress {name!r}: {exc}") from exc
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir, stresses, samples, baseline_spec, baseline
+            stresses[name] = build_stress(entry, baseline, where)
+        except ValidationError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return stresses, samples, baseline_spec, baseline
 
 
-def run_stress(config: dict, samples: SampleSet | None = None) -> tuple[int, str]:
+def run_stress(config: dict) -> tuple[int, str]:
     """Solve every configured stress; returns (exit_code, summary_text)."""
     chash = config_hash(config)
-    out_dir, stresses, samples, baseline_spec, baseline = _prepare(config, samples)
+    stresses, samples, baseline_spec, baseline = _prepare(config)
+    out_dir = _make_out(config)
     grid_n = config["grid_n"]
     zeta = config["zeta"]
 
     lines = [f"config_hash = {chash}", f"grid_n = {grid_n}",
              f"zeta = {FLOAT_FMT.format(zeta)}"]
     code = EXIT_OK
-    for name, spec in stresses:
+    for name, spec in stresses.items():
         try:
             model = solve(baseline, spec, zeta=zeta)
         except NoSolutionError as exc:
@@ -450,28 +482,16 @@ def run_stress(config: dict, samples: SampleSet | None = None) -> tuple[int, str
             code = EXIT_NOT_CONVERGED
             break
         lines += _summary_stress_lines(name, model)
-        _write_csv(
-            out_dir / f"{name}_quantiles.csv",
-            ["u", "baseline_q", "stressed_q"],
-            [baseline.u, baseline.q, model.stressed.q],
-            chash,
-        )
+        _write_csv(out_dir / f"{name}_quantiles.csv", ["u", "baseline_q", "stressed_q"],
+                   [baseline.u, baseline.q, model.stressed.q], chash)
         curve = cdf_and_density(model.stressed, grid_n)
         f_base = np.asarray(baseline_spec.pdf(curve.y), dtype=float)
-        _write_csv(
-            out_dir / f"{name}_density.csv",
-            ["y", "f_baseline", "g_stressed"],
-            [curve.y, f_base, curve.f],
-            chash,
-        )
+        _write_csv(out_dir / f"{name}_density.csv", ["y", "f_baseline", "g_stressed"],
+                   [curve.y, f_base, curve.f], chash)
         if samples is not None:
             wset = rn_weights(samples, baseline_spec, model.stressed)
-            _write_csv(
-                out_dir / f"{name}_weights.csv",
-                ["row_id", "weight"],
-                [np.arange(wset.n, dtype=float), wset.w],
-                chash,
-            )
+            _write_csv(out_dir / f"{name}_weights.csv", ["row_id", "weight"],
+                       [np.arange(wset.n, dtype=float), wset.w], chash)
             lines.append(f"zero_weight_count = {wset.meta['zero_weight_count']}")
         else:
             lines.append("weights = not computed (no samples)")
@@ -480,63 +500,65 @@ def run_stress(config: dict, samples: SampleSet | None = None) -> tuple[int, str
     return code, summary
 
 
-_S_BUILDERS = {
-    "identity": lambda x, _: identity_s(x),
-    "power": lambda x, p: power_s(x, int(p)),
-    "tail": lambda x, p: tail_indicator_s(x, float(p)),
-}
+def _s_function(tag, where: str):
+    """The s-function a tag names: ``identity``, ``power:<integer>`` or ``tail:<level>``."""
+    name, _, param = str(tag).partition(":")
+    try:
+        if name == "identity":
+            return identity_s
+        if name == "power":
+            k = int(param)
+            return lambda x: power_s(x, k)
+        if name == "tail" and 0.0 <= (level := float(param)) <= 1.0:
+            return lambda x: tail_indicator_s(x, level)
+    except ValueError:
+        pass
+    raise ConfigError(
+        f"{where} s-function {tag!r} is not identity, power:<integer> or tail:<level in [0, 1]>"
+    )
 
 
-def _parse_s_tag(tag: str):
-    name, _, param = tag.partition(":")
-    if name not in _S_BUILDERS:
-        raise ConfigError(f"unknown s-function {tag!r}")
-    return name, param
-
-
-def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int, str]:
+def run_sensitivity(config: dict) -> tuple[int, str]:
     chash = config_hash(config)
-    if samples is None and config.get("input") is None:
+    where = "sensitivity"
+    sens = _get(config, where, dict, {})
+    s_functions = [(tag, _s_function(tag, where))
+                   for tag in _get(sens, "s_functions", list, ["identity"], where)]
+    pairs = _get(sens, "pairs", list, [], where)
+    pair_alpha = _get(sens, "pair_alpha", float, 0.95, where)
+    if not 0.0 <= pair_alpha <= 1.0:
+        raise ConfigError(f"{where} 'pair_alpha' must lie in [0, 1], got {pair_alpha!r}")
+    want_delta = _get(sens, "delta", bool, False, where)
+    stresses, samples, baseline_spec, baseline = _prepare(config)
+    if samples is None:
         raise ConfigError("sensitivity requires input samples")
-    sens = config.get("sensitivity", {})
-    s_functions = [(tag, *_parse_s_tag(tag)) for tag in sens.get("s_functions", ["identity"])]
-    pairs = [tuple(p) for p in sens.get("pairs", [])]
-    pair_alpha = float(sens.get("pair_alpha", 0.95))
-    want_delta = bool(sens.get("delta", False))
-    out_dir, stresses, samples, baseline_spec, baseline = _prepare(config, samples)
+    for i, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(c in samples.columns for c in pair)):
+            raise ConfigError(f"{where} pair {i} must name two of the input columns "
+                              f"{', '.join(samples.columns)}; got {pair!r}")
+    out_dir = _make_out(config)
     zeta = config["zeta"]
-
-    weight_sets = {}
-    for name, spec in stresses:
-        model = solve(baseline, spec, zeta=zeta)
-        weight_sets[name] = rn_weights(samples, baseline_spec, model.stressed)
+    weight_sets = {name: rn_weights(samples, baseline_spec, solve(baseline, s, zeta=zeta).stressed)
+                   for name, s in stresses.items()}
 
     header = ["stress", "input", "s_tag", "S", "numerator", "max_bound", "min_bound"]
     if want_delta:
         header += ["delta_baseline", "delta_stressed"]
     rows = []
     # per input: the unweighted delta, then one per stress, from one call
-    deltas = {}
-    if want_delta:
-        for col in samples.columns:
-            deltas[col] = delta_measure(
-                samples.Y, samples.column(col), [None, *weight_sets.values()]
-            )
+    deltas = {col: delta_measure(samples.Y, samples.column(col), [None, *weight_sets.values()])
+              for col in samples.columns} if want_delta else {}
     for k, (name, wset) in enumerate(weight_sets.items(), start=1):
         report_rows = []
         for col in samples.columns:
             x = samples.column(col)
-            for tag, fn_name, param in s_functions:
-                s_vals = _S_BUILDERS[fn_name](x, param)
-                report_rows.append((col, tag, reverse_sensitivity(s_vals, wset)))
+            for tag, s_function in s_functions:
+                report_rows.append((col, tag, reverse_sensitivity(s_function(x), wset)))
         for a, b in pairs:
-            s_vals = joint_tail_indicator_s(
-                samples.column(a), samples.column(b), pair_alpha
-            )
-            report_rows.append(
-                (f"{a}:{b}", f"joint_tail:{pair_alpha}",
-                 reverse_sensitivity(s_vals, wset))
-            )
+            s_vals = joint_tail_indicator_s(samples.column(a), samples.column(b), pair_alpha)
+            report_rows.append((f"{a}:{b}", f"joint_tail:{pair_alpha}",
+                                reverse_sensitivity(s_vals, wset)))
         for target, tag, res in report_rows:
             row = [name, target, tag, res.value, res.numerator, res.max_bound,
                    res.min_bound]
@@ -552,9 +574,8 @@ def run_sensitivity(config: dict, samples: SampleSet | None = None) -> tuple[int
 
 def run_simulate(config: dict) -> tuple[int, str]:
     chash = config_hash(config)
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     sc_config = _scenario_config(config)
+    out_dir = _make_out(config)
     out = generate(sc_config)
     path = out_dir / "samples.csv"
     _write_csv(
@@ -577,19 +598,18 @@ def run_simulate(config: dict) -> tuple[int, str]:
 
 def run_smooth(config: dict) -> tuple[int, str]:
     chash = config_hash(config)
-    out_dir = Path(config["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    section = config.get("smooth", {})
-    csv_path = section.get("csv") or config.get("input", {}).get("csv")
+    section = _get(config, "smooth", dict, {})
+    csv_path = (_get(section, "csv", str, None, "smooth")
+                or _get(_get(config, "input", dict, {}), "csv", str, None, "input"))
     if csv_path is None:
         raise ConfigError("smooth needs a CSV path under smooth.csv or input.csv")
-    column = section.get("column", "Y")
+    column = _get(section, "column", str, "Y", "smooth")
     header, data = _read_csv_table(csv_path)
     if column not in header:
         raise ConfigError(f"{csv_path} lacks column {column!r}")
     values = data[:, header.index(column)]
-    zeta = config["zeta"]
-    smoothed = spav(values, zeta=zeta)
+    smoothed = spav(values, zeta=config["zeta"])
+    out_dir = _make_out(config)
     u = midpoint_grid(values.size)
     path = out_dir / "smoothed.csv"
     _write_csv(path, ["u", "original", "smoothed"], [u, values, smoothed], chash)
@@ -618,35 +638,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "out": args.out,
-        "grid_n": args.grid_n,
-        "zeta": args.zeta,
-    }
+    overrides = {key: getattr(args, key) for key in ("seed", "out", "grid_n", "zeta")}
+    command = {"stress": run_stress, "sensitivity": run_sensitivity,
+               "simulate": run_simulate, "smooth": run_smooth}[args.command]
     try:
-        config = load_config(args.config, overrides)
-        if args.command == "stress":
-            code, _ = run_stress(config)
-        elif args.command == "sensitivity":
-            code, _ = run_sensitivity(config)
-        elif args.command == "simulate":
-            code, _ = run_simulate(config)
-        else:
-            code, _ = run_smooth(config)
+        code, _ = command(load_config(args.config, overrides))
         return code
-    except NoSolutionError as exc:
+    except (WstressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
-    except NotConvergedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except WstressError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, NoSolutionError):
+            return EXIT_NO_SOLUTION
+        return EXIT_NOT_CONVERGED if isinstance(exc, NotConvergedError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

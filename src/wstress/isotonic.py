@@ -198,6 +198,11 @@ def pav(values, weights=None) -> np.ndarray:
     """
     v = _validated_values(values)
     w = np.ones(v.size) if weights is None else as_weights(weights, v.size)
+    return _pav_fit(v, w)
+
+
+def _pav_fit(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`pav` on values and weights that are already validated."""
     ends, means = _pav_blocks(v, w)
     return means if means.size == v.size else _expand(ends, means)
 
@@ -216,7 +221,7 @@ def spav(values, weights=None, zeta: float = 0.0, u=None) -> np.ndarray:
         raise ValidationError("smoothing parameter zeta must be finite and >= 0")
     w = np.ones(v.size) if weights is None else as_weights(weights, v.size)
     if zeta == 0.0 or v.size == 1:
-        return pav(v, w)
+        return _pav_fit(v, w)
     n = v.size
     if u is None:
         spacing = np.full(n - 1, 1.0 / n)
@@ -339,7 +344,4 @@ def _worst_tie_per_block(ends, x, v, w, pen, tol):
 
 def project(f: GridFunction, weights=None, zeta: float = 0.0) -> GridFunction:
     """Weighted (optionally smoothed) isotonic projection of a grid function."""
-    w = np.ones(f.n) if weights is None else as_weights(weights, f.n)
-    if zeta == 0.0:
-        return GridFunction(f.u, pav(f.v, w))
-    return GridFunction(f.u, spav(f.v, w, zeta=zeta, u=f.u))
+    return GridFunction(f.u, spav(f.v, weights, zeta=zeta, u=f.u))

@@ -108,12 +108,12 @@ class MeanVarRm:
 
 
 @dataclass(frozen=True)
-class LinearConstraint:
-    """Upper bound on the grid mean of h * q, with h >= 0 on the grid."""
+class _IntegralConstraint:
+    """Upper bound on a grid mean weighted by h, with h >= 0 on the grid."""
 
     h: np.ndarray
     bound: float
-    name: str = "linear"
+    name: str
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float)
@@ -125,20 +125,17 @@ class LinearConstraint:
 
 
 @dataclass(frozen=True)
-class QuadraticConstraint:
+class LinearConstraint(_IntegralConstraint):
+    """Upper bound on the grid mean of h * q, with h >= 0 on the grid."""
+
+    name: str = "linear"
+
+
+@dataclass(frozen=True)
+class QuadraticConstraint(_IntegralConstraint):
     """Upper bound on the grid mean of h * q**2, with h >= 0 on the grid."""
 
-    h: np.ndarray
-    bound: float
     name: str = "quadratic"
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
-        if np.any(h < 0.0) or not np.isfinite(h).all():
-            raise ValidationError("constraint function h must be finite and >= 0")
-        if not np.isfinite(self.bound):
-            raise ValidationError("constraint bound must be finite")
-        object.__setattr__(self, "h", h)
 
 
 @dataclass(frozen=True)
@@ -342,16 +339,9 @@ def _projection_cache(builder):
     return lambda lam: cached(np.asarray(lam, dtype=float).tobytes())
 
 
-def _check_zeta(zeta) -> None:
-    if not 0.0 <= zeta < np.inf:
-        raise ValidationError("smoothing parameter zeta must be finite and >= 0")
-
-
-def _isotonic(values, weights=None, zeta: float = 0.0):
-    _check_zeta(zeta)
-    if zeta > 0.0:
-        return spav(values, weights, zeta=zeta)
-    return pav(values, weights)
+def _isotonic(values, zeta: float):
+    """``pav`` at zeta = 0, so plain solves never enter ``spav``; ``spav`` checks zeta."""
+    return pav(values) if zeta == 0.0 else spav(values, zeta=zeta)
 
 
 def _target_scale(targets):
@@ -765,7 +755,8 @@ def solve(
     ``zeta`` must be finite and >= 0 for every family, including the
     quantile and integral families, which do not smooth.
     """
-    _check_zeta(zeta)
+    if not 0.0 <= zeta < np.inf:
+        raise ValidationError("smoothing parameter zeta must be finite and >= 0")
     if isinstance(spec, RmStress):
         return solve_rm(baseline, spec, zeta=zeta, tol=tol)
     if isinstance(spec, MeanVarRm):

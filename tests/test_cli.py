@@ -225,15 +225,20 @@ class TestRoundTrip:
         }
         cfg_a = tmp_path / "stress_a.yaml"
         cfg_a.write_text(yaml.safe_dump(stress_config), encoding="utf-8")
-        config = load_config(str(cfg_a), {})
-        code, summary_csv = run_stress(config)  # loads the CSV itself
+        code, summary_csv = run_stress(load_config(str(cfg_a), {}))
         assert code == EXIT_OK
 
-        # in-process: identical config, pre-loaded samples
-        samples, _ = read_sample_csv(str(tmp_path / "sim" / "samples.csv"))
-        code, summary_mem = run_stress(config, samples=samples)
+        # the same scenario generated in memory: only the config hash may differ
+        stress_config.update(out=str(tmp_path / "out2"), seed=11,
+                             input={"scenario": {"n_samples": 5000}})
+        cfg_b = tmp_path / "stress_b.yaml"
+        cfg_b.write_text(yaml.safe_dump(stress_config), encoding="utf-8")
+        code, summary_mem = run_stress(load_config(str(cfg_b), {}))
         assert code == EXIT_OK
-        assert summary_mem == summary_csv  # byte-identical summaries
+        hash_csv, rest_csv = summary_csv.split("\n", 1)
+        hash_mem, rest_mem = summary_mem.split("\n", 1)
+        assert hash_csv.startswith("config_hash = ") and hash_mem != hash_csv
+        assert rest_mem == rest_csv  # the 17-digit CSV round trip is exact
 
     def test_repeat_runs_byte_identical(self, tmp_path):
         sim_config = {
@@ -357,6 +362,48 @@ class TestSmoothCommand:
         np.testing.assert_allclose(cols["original"], noisy, atol=1e-12)
 
 
+RM_STRESS = {"name": "s", "kind": "rm",
+             "constraints": [{"gamma": "es", "alpha": 0.9, "bump": 0.1}]}
+BOTH = ("stress", "sensitivity")
+#: (id, commands, change to a valid config, text the error must contain)
+MALFORMED_CONFIGS = [
+    ("zeta", BOTH, {"zeta": "abc"}, "'zeta'"),
+    ("grid_n", BOTH, {"grid_n": "x"}, "'grid_n'"),
+    ("missing_mu", BOTH, {"baseline": {"kind": "lognormal", "sigma": 0.5}}, "'mu'"),
+    ("non_numeric_rate", BOTH,
+     {"baseline": {"kind": "gamma", "shape": 2.0, "rate": "fast"}}, "'rate'"),
+    ("seed", BOTH, {"seed": "abc"}, "'seed'"),
+    ("n_samples", BOTH, {"input": {"scenario": {"n_samples": "many"}}}, "'n_samples'"),
+    ("baseline_not_mapping", BOTH, {"baseline": "lognormal"}, "'baseline'"),
+    ("stresses_not_list", BOTH, {"stresses": "abc"}, "'stresses'"),
+    ("stress_not_mapping", BOTH, {"stresses": [["rm"]]}, "stress 0 must be a mapping"),
+    ("es_without_alpha", BOTH,
+     {"stresses": [{"name": "s", "kind": "rm", "constraints": [{"gamma": "es", "bump": 0.1}]}]},
+     "stress 's' constraint 0 is missing 'alpha'"),
+    ("indicator_without_alpha", BOTH,
+     {"stresses": [{"name": "s", "kind": "integral",
+                    "linear": [{"h": "upper_indicator", "bump": 0.1}]}]},
+     "stress 's' linear 0 is missing 'alpha'"),
+    ("out_null", BOTH, {"out": None}, "'out'"),
+    ("duplicate_name", BOTH, {"stresses": [RM_STRESS, {**RM_STRESS, "kind": "mean_var_rm"}]},
+     "stress name 's'"),
+    ("duplicate_kind", BOTH,
+     {"stresses": [{k: v for k, v in RM_STRESS.items() if k != "name"}] * 2},
+     "stress name 'rm'"),
+    ("name_with_path", BOTH, {"stresses": [{**RM_STRESS, "name": "../s"}]}, "'../s'"),
+    ("pair_alpha", ["sensitivity"], {"sensitivity": {"pair_alpha": "hi"}}, "'pair_alpha'"),
+    ("s_function_parameter", ["sensitivity"], {"sensitivity": {"s_functions": ["power:x"]}},
+     "'power:x'"),
+    ("tail_level", ["sensitivity"], {"sensitivity": {"s_functions": ["tail:1.5"]}},
+     "'tail:1.5'"),
+    ("pair_of_one", ["sensitivity"], {"sensitivity": {"pairs": [["L1"]]}}, "pair 0"),
+    ("pair_unknown_column", ["sensitivity"], {"sensitivity": {"pairs": [["L1", "Lx"]]}},
+     "pair 0"),
+    ("missing_csv", ["smooth"], {"smooth": {"csv": "/nonexistent/missing.csv"}},
+     "missing.csv"),
+]
+
+
 class TestConfigErrors:
     def test_missing_file_exits_1(self, capsys):
         assert main(["stress", "/nonexistent/config.yaml"]) == 1
@@ -397,15 +444,13 @@ class TestConfigErrors:
         assert main(["stress", str(cfg), "--zeta", zeta]) == 1
         assert "zeta must be finite and >= 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("change, key", [
-        ({"zeta": "abc"}, "zeta"),
-        ({"grid_n": "x"}, "grid_n"),
-        ({"baseline": {"kind": "lognormal", "sigma": 0.5}}, "mu"),
-        ({"baseline": {"kind": "gamma", "shape": 2.0, "rate": "fast"}}, "rate"),
-    ], ids=["zeta", "grid_n", "missing_mu", "non_numeric_rate"])
-    @pytest.mark.parametrize("command", ["stress", "sensitivity"])
+    @pytest.mark.parametrize("command, change, needle", [
+        pytest.param(command, change, needle, id=f"{command}-{case}")
+        for case, commands, change, needle in MALFORMED_CONFIGS
+        for command in commands
+    ])
     def test_malformed_value_exits_1_and_writes_nothing(
-        self, tmp_path, command, change, key, capsys
+        self, tmp_path, command, change, needle, capsys
     ):
         out = tmp_path / "out"
         config = {
@@ -413,13 +458,12 @@ class TestConfigErrors:
             "grid_n": 256,
             "input": {"scenario": {"n_samples": 500}},
             "baseline": {"kind": "lognormal", "mu": 0.875, "sigma": 0.5},
-            "stresses": [{"name": "s", "kind": "rm",
-                          "constraints": [{"gamma": "es", "alpha": 0.9, "bump": 0.1}]}],
+            "stresses": [RM_STRESS],
             **change,
         }
         assert main([command, str(write_config(tmp_path, config))]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and repr(key) in err
+        assert err.startswith("error: ") and needle in err
         assert not out.exists()
 
 
@@ -429,6 +473,7 @@ MALFORMED_CSV = {
     "non_numeric_cell": "L1,Y\n1.0,2.0\n3.0,abc\n",
     "ragged_row": "L1,Y\n1.0,2.0\n3.0\n",
     "too_many_cells": "L1,Y\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
+    "missing_file": None,
 }
 
 
@@ -436,7 +481,8 @@ class TestMalformedCsv:
     @pytest.mark.parametrize("content", MALFORMED_CSV.values(), ids=MALFORMED_CSV.keys())
     def test_smooth_exits_1(self, tmp_path, content, capsys):
         csv_path = tmp_path / "bad.csv"
-        csv_path.write_text(content)
+        if content is not None:
+            csv_path.write_text(content)
         config = {
             "out": str(tmp_path / "out"),
             "zeta": 1e-4,
@@ -444,11 +490,13 @@ class TestMalformedCsv:
         }
         assert main(["smooth", str(write_config(tmp_path, config))]) == 1
         assert "bad.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content", MALFORMED_CSV.values(), ids=MALFORMED_CSV.keys())
     def test_stress_exits_1(self, tmp_path, content, capsys):
         csv_path = tmp_path / "bad.csv"
-        csv_path.write_text(content)
+        if content is not None:
+            csv_path.write_text(content)
         config = {
             "out": str(tmp_path / "out"),
             "grid_n": 256,
