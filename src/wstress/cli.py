@@ -425,16 +425,15 @@ def _summary_stress_lines(name: str, model) -> list[str]:
 def _prepare(config: dict):
     """The configuration ``stress`` and ``sensitivity`` share, decoded.
 
-    Checks ζ, resolves samples and baseline, discretises the baseline and
-    builds every stress, whose name must be a distinct plain file name and
+    Checks ``out``, resolves samples and baseline, discretises the baseline
+    and builds every stress, whose name must be a distinct plain file name and
     appears in any error it raises.  Returns ({stress name: stress spec},
     samples, baseline distribution, baseline grid).
     """
+    _get(config, "out", str)  # checked now; created once every stress is solved
     entries = _get(config, "stresses", list)
     if not entries:
         raise ConfigError("need at least one stress")
-    if not 0.0 <= config["zeta"] < np.inf:
-        raise ConfigError("smoothing parameter zeta must be finite and >= 0")
     samples, _ = resolve_samples(config)
     baseline_spec = resolve_baseline(config, samples)
     baseline = discretize(baseline_spec, config["grid_n"])
@@ -455,47 +454,52 @@ def _prepare(config: dict):
 
 
 def run_stress(config: dict) -> tuple[int, str]:
-    """Solve every configured stress; returns (exit_code, summary_text)."""
+    """Solve every configured stress; returns (exit_code, summary_text).
+
+    Every stress is solved and reweighted before ``out`` exists, so an error
+    leaves nothing behind.  The first that has no solution or does not
+    converge ends the run; it is recorded in ``summary.txt`` after the
+    stresses solved before it.
+    """
     chash = config_hash(config)
     stresses, samples, baseline_spec, baseline = _prepare(config)
-    out_dir = _make_out(config)
     grid_n = config["grid_n"]
     zeta = config["zeta"]
 
-    lines = [f"config_hash = {chash}", f"grid_n = {grid_n}",
-             f"zeta = {FLOAT_FMT.format(zeta)}"]
-    code = EXIT_OK
+    code, solved, failure = EXIT_OK, [], []
     for name, spec in stresses.items():
         try:
             model = solve(baseline, spec, zeta=zeta)
-        except NoSolutionError as exc:
-            lines += [f"[stress {name}]", "converged = false",
-                      "error_kind = NoSolution", f"error = {exc}"]
-            code = EXIT_NO_SOLUTION
-            break
-        except NotConvergedError as exc:
-            lines += [f"[stress {name}]", "converged = false",
-                      "error_kind = NotConverged", f"error = {exc}"]
-            if exc.residuals is not None:
+        except (NoSolutionError, NotConvergedError) as exc:
+            failure = [f"[stress {name}]", "converged = false",
+                       f"error_kind = {type(exc).__name__.removesuffix('Error')}",
+                       f"error = {exc}"]
+            if getattr(exc, "residuals", None) is not None:
                 res = ", ".join(FLOAT_FMT.format(v) for v in np.atleast_1d(exc.residuals))
-                lines.append(f"residuals = [{res}]")
-            code = EXIT_NOT_CONVERGED
+                failure.append(f"residuals = [{res}]")
+            code = _exit_code(exc)
             break
+        curve = cdf_and_density(model.stressed, grid_n)
+        f_base = np.asarray(baseline_spec.pdf(curve.y), dtype=float)
+        wset = None if samples is None else rn_weights(samples, baseline_spec, model.stressed)
+        solved.append((name, model, curve, f_base, wset))
+
+    out_dir = _make_out(config)
+    lines = [f"config_hash = {chash}", f"grid_n = {grid_n}",
+             f"zeta = {FLOAT_FMT.format(zeta)}"]
+    for name, model, curve, f_base, wset in solved:
         lines += _summary_stress_lines(name, model)
         _write_csv(out_dir / f"{name}_quantiles.csv", ["u", "baseline_q", "stressed_q"],
                    [baseline.u, baseline.q, model.stressed.q], chash)
-        curve = cdf_and_density(model.stressed, grid_n)
-        f_base = np.asarray(baseline_spec.pdf(curve.y), dtype=float)
         _write_csv(out_dir / f"{name}_density.csv", ["y", "f_baseline", "g_stressed"],
                    [curve.y, f_base, curve.f], chash)
-        if samples is not None:
-            wset = rn_weights(samples, baseline_spec, model.stressed)
+        if wset is not None:
             _write_csv(out_dir / f"{name}_weights.csv", ["row_id", "weight"],
                        [np.arange(wset.n, dtype=float), wset.w], chash)
             lines.append(f"zero_weight_count = {wset.meta['zero_weight_count']}")
         else:
             lines.append("weights = not computed (no samples)")
-    summary = "\n".join(lines) + "\n"
+    summary = "\n".join(lines + failure) + "\n"
     (out_dir / "summary.txt").write_text(summary, encoding="utf-8")
     return code, summary
 
@@ -537,10 +541,10 @@ def run_sensitivity(config: dict) -> tuple[int, str]:
                 and all(c in samples.columns for c in pair)):
             raise ConfigError(f"{where} pair {i} must name two of the input columns "
                               f"{', '.join(samples.columns)}; got {pair!r}")
-    out_dir = _make_out(config)
     zeta = config["zeta"]
     weight_sets = {name: rn_weights(samples, baseline_spec, solve(baseline, s, zeta=zeta).stressed)
                    for name, s in stresses.items()}
+    out_dir = _make_out(config)
 
     header = ["stress", "input", "s_tag", "S", "numerator", "max_bound", "min_bound"]
     if want_delta:
@@ -620,6 +624,13 @@ def run_smooth(config: dict) -> tuple[int, str]:
 # entry point
 
 
+def _exit_code(exc: Exception) -> int:
+    """3 for NoSolutionError, 2 for NotConvergedError, 1 for any other error."""
+    if isinstance(exc, NoSolutionError):
+        return EXIT_NO_SOLUTION
+    return EXIT_NOT_CONVERGED if isinstance(exc, NotConvergedError) else EXIT_CONFIG
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wstress",
@@ -646,9 +657,7 @@ def main(argv=None) -> int:
         return code
     except (WstressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, NoSolutionError):
-            return EXIT_NO_SOLUTION
-        return EXIT_NOT_CONVERGED if isinstance(exc, NotConvergedError) else EXIT_CONFIG
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -5,11 +5,10 @@ weighted isotonic regression
 
     min sum_i w_i * (x_i - values_i)**2   s.t.  x_1 <= x_2 <= ... <= x_n.
 
-Its pooling loop runs only on windows around the cells where the input
-decreases (the active-set view of Best & Chakravarti 1990); elsewhere the
-input already is the solution.  Stress inputs, a nondecreasing baseline
-plus a few multiplier-weighted directions, decrease near a handful of kinks,
-so a projection costs a few numpy passes plus a loop over those windows.
+Nondecreasing input is returned as it is; anything else is pooled by
+scipy's compiled O(n) pool-adjacent-violators (``isotonic_regression``,
+Busing 2022), whose fits agree with a left-to-right pooling loop to within
+a few ulps.
 
 ``spav`` adds a squared-increment penalty ``sum_i zeta_i * (x_{i+1} - x_i)**2``
 that discourages large jumps; it is solved as an equality-constrained
@@ -25,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
+from scipy.optimize import isotonic_regression
 
 from .errors import NotConvergedError, ValidationError
 
@@ -80,102 +80,22 @@ def _validated_values(values) -> np.ndarray:
     return v
 
 
-#: Monotonicity violations further apart than this many cells are pooled in
-#: separate windows.
-_WINDOW_GAP = 64
-#: Cells a window first extends beyond the outermost violations it covers.
-_WINDOW_PAD = 16
-
-
-def _pav_kernel(v: np.ndarray, w: np.ndarray, floor=-np.inf):
-    """Left-to-right pool-adjacent-violators over all of ``v``.
-
-    Returns (ends, means): ``ends[j]`` is the exclusive end index of block j
-    and ``means[j]`` its pooled value.  Zero-weight blocks fall back to the
-    plain mean, which is one of the (non-unique) minimisers there.  Slot 0
-    of the block stack is a sentinel of value ``floor`` standing for what
-    lies left of ``v``; returns None as soon as a block would pool into it.
-    """
-    n = v.size
-    # Python floats round as numpy scalars do and are much faster to index
-    values, weights = v.tolist(), w.tolist()
-    ends, means = [0] * (n + 1), [float(floor)] * (n + 1)
-    wsum, wvsum, vsum = [0.0] * (n + 1), [0.0] * (n + 1), [0.0] * (n + 1)
-    m = 1
-    for i in range(n):
-        bv = values[i]
-        bw = weights[i]
-        bwv = bw * bv
-        end = i + 1
-        mu = bv  # exact for singleton blocks, so pav is exactly idempotent
-        while means[m - 1] > mu:
-            if m == 1:
-                return None
-            m -= 1
-            bw += wsum[m]
-            bwv += wvsum[m]
-            bv += vsum[m]
-            mu = bwv / bw if bw > 0.0 else bv / (end - ends[m - 1])
-        ends[m] = end
-        means[m] = mu
-        wsum[m] = bw
-        wvsum[m] = bwv
-        vsum[m] = bv
-        m += 1
-    return np.array(ends[1:m], dtype=np.intp), np.array(means[1:m])
-
-
 def _pav_blocks(v: np.ndarray, w: np.ndarray):
     """Pooled block structure of the weighted isotonic regression.
 
-    Returns (ends, means) as :func:`_pav_kernel` on the whole vector does,
-    bit for bit, but runs the kernel only on windows around the cells where
-    ``v`` decreases; every other cell is a singleton block, as in the full
-    loop, which pools only on a strict decrease.  Violations within
-    ``_WINDOW_GAP`` cells share a window.  A window whose first block would
-    pool with its left neighbour (the cell or window before it) doubles to
-    the left, one whose last block exceeds the next cell doubles to the
-    right, and windows that come to overlap merge.  Those are the only
-    comparisons across a window's edges the full loop makes, so once both
-    pass, it pools each window as the kernel does: the same elements in the
-    same order.  Input that is nondecreasing costs O(n) without a loop.
+    Returns (ends, means): ``ends[j]`` is the exclusive end index of block j
+    and ``means[j]`` its pooled value.  Nondecreasing input is its own fit,
+    one singleton block per cell, so :func:`pav` is exactly idempotent.
+    Other input is pooled by scipy's compiled PAVA on the positive-weight
+    cells, which pools ties too; a zero-weight cell joins the block on its
+    left (leading ones the first block), at no cost to the objective.
     """
-    n = v.size
-    drops = np.flatnonzero(v[1:] < v[:-1])
-    if drops.size == 0:
-        return np.arange(1, n + 1), v.copy()
-    cut = np.flatnonzero(np.diff(drops) > _WINDOW_GAP)
-    starts = np.maximum(drops[np.concatenate(([0], cut + 1))] - _WINDOW_PAD, 0)
-    stops = np.minimum(drops[np.concatenate((cut, [-1]))] + 2 + _WINDOW_PAD, n)
-    pending = list(zip(starts.tolist(), stops.tolist()))[::-1]
-    done = []  # (start, stop, ends, means), left to right, disjoint
-    while pending:
-        a, b = pending.pop()
-        while True:
-            if done and done[-1][1] > a:
-                a = done.pop()[0]
-            while pending and pending[-1][0] < b:
-                b = max(b, pending.pop()[1])
-            if done and done[-1][1] == a:
-                floor = done[-1][3][-1]
-            else:
-                floor = v[a - 1] if a > 0 else -np.inf
-            blocks = _pav_kernel(v[a:b], w[a:b], floor)
-            if blocks is None:
-                a = max(0, 2 * a - b)
-            elif b < n and blocks[1][-1] > v[b]:
-                b = min(n, 2 * b - a)
-            else:
-                done.append((a, b, blocks[0] + a, blocks[1]))
-                break
-    ends, means, prev = [], [], 0
-    for a, b, window_ends, window_means in done:
-        ends += [np.arange(prev + 1, a + 1), window_ends]
-        means += [v[prev:a], window_means]
-        prev = b
-    ends.append(np.arange(prev + 1, n + 1))
-    means.append(v[prev:])
-    return np.concatenate(ends), np.concatenate(means)
+    if not np.any(v[1:] < v[:-1]):
+        return np.arange(1, v.size + 1), v.copy()
+    pos = np.flatnonzero(w > 0.0)
+    fit = isotonic_regression(v[pos], weights=w[pos])
+    starts = pos[fit.blocks[:-1]]
+    return np.append(starts[1:], v.size), fit.x[fit.blocks[:-1]]
 
 
 def pav(values, weights=None) -> np.ndarray:
@@ -191,10 +111,11 @@ def pav(values, weights=None) -> np.ndarray:
     Returns
     -------
     ndarray
-        The unique minimiser of ``sum w_i (x_i - values_i)**2`` over
-        nondecreasing ``x``.  Idempotent: applying it twice is a no-op.
-        Pools only around the cells where ``values`` decreases, so
-        nondecreasing input costs O(n) without a Python loop.
+        A minimiser of ``sum w_i (x_i - values_i)**2`` over nondecreasing
+        ``x``, unique on the positive-weight cells.  Nondecreasing input is
+        returned unchanged, so applying ``pav`` twice is a no-op; otherwise
+        a zero-weight cell takes the value of the nearest positive-weight
+        cell on its left (on its right if there is none).
     """
     v = _validated_values(values)
     w = np.ones(v.size) if weights is None else as_weights(weights, v.size)

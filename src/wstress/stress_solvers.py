@@ -706,10 +706,12 @@ def solve_utility_rm(
                 presolve_evaluations,
             )
     else:
-        base_util = expected_utility(baseline, spec.utility)
+        # the nondecreasing baseline is its own projection at zeta = 0
+        smoothed = QuantileGrid(spav(baseline.q, zeta=zeta)) if zeta > 0.0 else baseline
+        base_util = expected_utility(smoothed, spec.utility)
         if base_util >= spec.floor - tol * scale_u:
             return _model(
-                baseline, baseline.q.copy(), [0.0],
+                baseline, smoothed.q, [0.0],
                 [min(base_util - spec.floor, 0.0)], names, zeta, 1,
             )
 

@@ -31,8 +31,10 @@ def histogram_kde(values, grid, weights=None, bandwidth=None):
 def pav_loop_blocks(v, w):
     """Pool-adjacent-violators on numpy arrays, one cell at a time over all of ``v``.
 
-    The reference for ``isotonic._pav_kernel`` and ``_pav_blocks``: the same
-    pooling order and arithmetic, so (ends, means) must agree bit for bit.
+    The reference for ``isotonic.pav``.  It pools only on a strict decrease
+    and gives a zero-weight block the plain mean of its values; ``pav``
+    pools ties too and gives a zero-weight cell the value of its left
+    neighbour, so the two agree to a few ulps on positive-weight cells.
     """
     n = v.size
     ends = np.empty(n, dtype=np.intp)

@@ -536,6 +536,22 @@ class TestPartialOutput:
         assert "nope" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["stress", "sensitivity"])
+    def test_undefined_weights_write_nothing(self, tmp_path, command, capsys):
+        # samples fall below the gamma baseline's shift, where its density
+        # vanishes, so the stress solves but its weights are undefined
+        out = tmp_path / "out"
+        config = {
+            "out": str(out),
+            "grid_n": 256,
+            "input": {"scenario": {"n_samples": 500}},
+            "baseline": {"kind": "gamma", "shape": 2.0, "rate": 0.5, "shift": 30.0},
+            "stresses": self.STRESSES[:1],
+        }
+        assert main([command, str(write_config(tmp_path, config))]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_malformed_number_exits_1(self, tmp_path, capsys):
         stress = {"name": "v", "kind": "var", "alpha": "high", "bump": 0.1}
         config = {

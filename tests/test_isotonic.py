@@ -5,11 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import assert_smoothed_isotonic_kkt, pav_loop_blocks, smoothed_isotonic_oracle
 from wstress import isotonic
-from wstress.distributions import Lognormal, discretize
 from wstress.errors import ValidationError
-from wstress.isotonic import GridFunction, as_weights, pav, project, spav
-from wstress.risk_measures import es_weight, eval_rm
-from wstress.stress_solvers import RmConstraint, RmStress, solve
+from wstress.isotonic import GridFunction, _expand, as_weights, pav, project, spav
 
 
 class TestPav:
@@ -78,7 +75,8 @@ class TestPav:
             )
 
 
-GAP = isotonic._WINDOW_GAP
+#: A drop spacing wide enough that clusters of drops pool apart.
+GAP = 64
 
 
 @st.composite
@@ -115,22 +113,42 @@ def pav_problems(draw):
         w = rng.uniform(0.0, 2.0, size=n)
         if weights == "zeros":
             w[rng.uniform(size=n) < draw(st.sampled_from([0.3, 0.9, 1.0]))] = 0.0
+            w[rng.integers(n)] = 1.0  # not all zero
     return v, w
 
 
-def assert_same_blocks(v, w):
-    """Windowed pooling equals the full loop bit for bit, and so does the kernel."""
-    ends, means = isotonic._pav_blocks(v, w)
-    for full_ends, full_means in (isotonic._pav_kernel(v, w), pav_loop_blocks(v, w)):
-        np.testing.assert_array_equal(ends, full_ends)
-        assert means.tobytes() == full_means.tobytes()
+def assert_matches_loop(v, w):
+    """``pav`` agrees with the one-cell-at-a-time pooling loop.
+
+    On positive-weight cells the fits agree to a few ulps of max|v|, and so
+    do the objectives; the fit is nondecreasing.  Nondecreasing input comes
+    back unchanged; otherwise a zero-weight cell equals the nearest
+    positive-weight cell on its left, or on its right if there is none.
+    """
+    x = pav(v, w)
+    ref = _expand(*pav_loop_blocks(v, w))
+    pos = w > 0.0
+    scale = float(np.abs(v).max(initial=0.0))
+    tol = 8.0 * np.finfo(float).eps * scale
+    assert np.abs(x - ref)[pos].max() <= tol
+    objective, ref_objective = np.sum(w * (x - v) ** 2), np.sum(w * (ref - v) ** 2)
+    assert abs(objective - ref_objective) <= 1e-12 * ref_objective + tol**2 * np.sum(w)
+    assert np.all(np.diff(x) >= 0.0)
+    if np.all(np.diff(v) >= 0.0):
+        assert x.tobytes() == v.tobytes()
+    else:
+        owner = np.maximum.accumulate(np.where(pos, np.arange(v.size), -1))
+        owner[owner < 0] = np.flatnonzero(pos)[0]
+        assert x.tobytes() == x[owner].tobytes()
 
 
 class TestWindowedPav:
+    """``pav`` against the pooling loop on drops at the edges, clustered or far apart."""
+
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(pav_problems())
-    def test_matches_full_loop_bit_for_bit(self, problem):
-        assert_same_blocks(*problem)
+    def test_matches_full_loop(self, problem):
+        assert_matches_loop(*problem)
 
     @pytest.mark.parametrize("where", ["first", "last", "one_gap_apart", "overlapping"])
     def test_edge_violations(self, where):
@@ -141,76 +159,14 @@ class TestWindowedPav:
                  "overlapping": [2 * GAP, 3 * GAP + 1]}[where]
         for p in drops:
             v[p + 1:] -= 0.4
-        assert_same_blocks(v, np.ones(n))
-
-    def test_window_pools_into_the_window_it_touches(self):
-        # the first window doubles right to end exactly where the second
-        # starts; the second's pool then falls below the first's last block
-        # but stays above that block's last cell, so only comparing with the
-        # block mean merges them
-        pad, rise, eps, d = isotonic._WINDOW_PAD, 1e-3, 1e-4, 200
-        stop = d + 3 * pad + 4
-        d2 = stop + pad
-        assert d2 - d > GAP
-        n = d2 + 200
-        v = np.arange(n) * rise
-        v[d + 1:stop] = v[d] - eps
-        v[stop:] += 1.0
-        target = v[d] - eps * (1.0 - 0.5 / (stop - d))
-        v[d2 + 1] = target * (d2 + 2 - stop) - v[stop:d2 + 1].sum()
-        assert_same_blocks(v, np.ones(n))
-        ends, _ = isotonic._pav_blocks(v, np.ones(n))
-        assert not np.any((ends > d) & (ends < d2 + 2))
-
-    def test_long_rise_ending_in_large_drop_widens_repeatedly(self, monkeypatch):
-        n = 4096
-        v = np.linspace(0.0, 1.0, n)
-        v[-1] = -50.0
-        runs = []
-        kernel = isotonic._pav_kernel
-
-        def counting(v, w, floor=-np.inf):
-            runs.append(v.size)
-            return kernel(v, w, floor)
-
-        monkeypatch.setattr(isotonic, "_pav_kernel", counting)
-        ends, _ = isotonic._pav_blocks(v, np.ones(n))
-        assert len(runs) >= 5  # the window doubled several times
-        assert n - ends[-2] > 8 * GAP  # the drop pools far back into the rise
-        assert_same_blocks(v, np.ones(n))
+        assert_matches_loop(v, np.ones(n))
 
     def test_nondecreasing_input_skips_the_loop(self, monkeypatch):
-        monkeypatch.setattr(isotonic, "_pav_kernel", None)
+        monkeypatch.setattr(isotonic, "isotonic_regression", None)
         v = np.array([-0.0, 0.0, 0.0, 1.0, 2.0])
         ends, means = isotonic._pav_blocks(v, np.ones(5))
         assert ends.tolist() == [1, 2, 3, 4, 5]
         assert means.tobytes() == v.tobytes()
-
-    @pytest.mark.parametrize("bumps", [[(0.95, 0.10)], [(0.8, 0.0), (0.95, 0.05)]],
-                             ids=["es95_up", "es95_up_es80_held"])
-    def test_rm_stress_pools_a_small_share_of_the_grid(self, monkeypatch, bumps):
-        # a silent fallback to the full loop would pass every correctness test
-        n = 4096
-        grid = discretize(Lognormal(0.875, 0.5), n)
-        pooled, calls = [], []
-        kernel, blocks = isotonic._pav_kernel, isotonic._pav_blocks
-
-        def counting_kernel(v, w, floor=-np.inf):
-            pooled.append(v.size)
-            return kernel(v, w, floor)
-
-        def counting_blocks(v, w):
-            calls.append(v.size)
-            return blocks(v, w)
-
-        monkeypatch.setattr(isotonic, "_pav_kernel", counting_kernel)
-        monkeypatch.setattr(isotonic, "_pav_blocks", counting_blocks)
-        stress = RmStress(tuple(
-            RmConstraint(es_weight(a, n), eval_rm(grid, es_weight(a, n)) * (1.0 + b))
-            for a, b in bumps))
-        solve(grid, stress)
-        assert calls and set(calls) == {n}
-        assert sum(pooled) <= len(calls) * n // 8
 
 
 class TestSpav:
@@ -288,7 +244,15 @@ class TestSpav:
     def test_penalty_too_large_for_weights_raises(self):
         # finite penalties, but the tridiagonal system is numerically singular
         with pytest.raises(ValidationError):
-            spav([3.0, 1.0, 2.0], zeta=1e300)
+            spav([3.0, 1.0, 2.0, 5.0], zeta=1e300)
+
+    def test_huge_penalty_on_one_pooled_block_is_optimal(self):
+        # pav pools [3, 1, 2] into one block, which no penalty can move; a
+        # constant fit has a zero penalty gradient, so the plain certificate
+        # applies at its tight tolerance
+        x = spav([3.0, 1.0, 2.0], zeta=1e300)
+        np.testing.assert_array_equal(x, [2.0, 2.0, 2.0])
+        assert_smoothed_isotonic_kkt([3.0, 1.0, 2.0], x)
 
     def test_large_noisy_fit_satisfies_kkt(self):
         n, zeta = 4096, 1e-4

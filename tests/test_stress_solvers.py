@@ -14,7 +14,7 @@ from wstress.distributions import (
 )
 from wstress.errors import NoSolutionError, NotConvergedError, ValidationError
 from wstress import stress_solvers
-from wstress.isotonic import pav
+from wstress.isotonic import pav, spav
 from wstress.risk_measures import (
     HARAUtility,
     alpha_beta_weight,
@@ -383,6 +383,17 @@ class TestSolveUtilityRm:
         floor = expected_utility(lognormal_grid, u) - 0.1
         model = solve_utility_rm(lognormal_grid, UtilityRm(utility=u, floor=floor))
         np.testing.assert_array_equal(model.stressed.q, lognormal_grid.q)
+        assert model.multipliers[0] == 0.0
+
+    def test_slack_utility_keeps_the_smoothing(self, lognormal_spec):
+        # with no risk-measure constraint, a slack floor returns the smoothed
+        # baseline, not the raw one
+        grid = discretize(lognormal_spec, 1024)
+        u = HARAUtility(1.0, 5.0, 0.5)
+        floor = expected_utility(grid, u) - 0.1
+        model = solve_utility_rm(grid, UtilityRm(utility=u, floor=floor), zeta=1e-4)
+        np.testing.assert_array_equal(model.stressed.q, spav(grid.q, zeta=1e-4))
+        assert model.w2 > 0.0
         assert model.multipliers[0] == 0.0
 
     def test_zero_utility_multiplier_matches_rm_solver(self, lognormal_grid):
