@@ -48,6 +48,7 @@ from .errors import NoSolutionError, NotConvergedError, ValidationError, Wstress
 from .isotonic import spav
 from .reweight import SampleSet, rn_weights
 from .risk_measures import (
+    GAMMA_KINDS,
     HARAUtility,
     eval_rm,
     expected_utility,
@@ -259,10 +260,6 @@ def resolve_baseline(config: dict, samples: SampleSet | None):
 # ----------------------------------------------------------------------------
 # stress construction
 
-#: the parameters each distortion weight of ``make_gamma`` needs
-_GAMMA_PARAMS = {"mean": (), "es": ("alpha",), "rvar": ("alpha", "beta"),
-                 "alpha_beta": ("alpha", "beta", "p")}
-
 
 def _resolve_target(entry: dict, baseline_value: float, where: str) -> float:
     """``target``, or the baseline value scaled by ``1 + bump``."""
@@ -281,7 +278,8 @@ def _rm_constraints(entry: dict, baseline: QuantileGrid, where: str) -> tuple[Rm
     for i, sub in enumerate(_get(entry, "constraints", list, [], where)):
         at = f"{where} constraint {i}"
         kind = _get(sub, "gamma", str, "es", at)
-        params = {k: _get(sub, k, float, where=at) for k in _GAMMA_PARAMS.get(kind.lower(), ())}
+        _, names = GAMMA_KINDS.get(kind.lower(), (None, ()))
+        params = {k: _get(sub, k, float, where=at) for k in names}
         weight = make_gamma(kind, baseline.n, **params)
         target = _resolve_target(sub, eval_rm(baseline, weight), at)
         out.append(RmConstraint(weight=weight, target=target))

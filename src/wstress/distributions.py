@@ -253,11 +253,7 @@ def cdf_and_density(grid: QuantileGrid, value_grid_size: int = DEFAULT_GRID_N) -
     counts = np.searchsorted(q, knots, side="right")
     y = np.linspace(q[0], q[-1], value_grid_size)
     cdf = np.interp(y, knots, counts / n)
-    f = np.empty(value_grid_size)
-    dy = y[1] - y[0]
-    f[1:-1] = (cdf[2:] - cdf[:-2]) / (2.0 * dy)
-    f[0] = (cdf[1] - cdf[0]) / dy
-    f[-1] = (cdf[-1] - cdf[-2]) / dy
+    f = np.gradient(cdf, y[1] - y[0])
     integral = float(np.trapezoid(f, y))
     if integral > 0.0:
         f = f / integral
@@ -276,20 +272,13 @@ def flat_segments(grid: QuantileGrid, min_cells: int = 2):
     q = grid.q
     scale = max(1.0, float(q[-1] - q[0]))
     flat = np.diff(q) <= FLAT_REL_TOL * scale
-    segments = []
-    i = 0
-    n1 = flat.size
-    while i < n1:
-        if flat[i]:
-            j = i
-            while j < n1 and flat[j]:
-                j += 1
-            if j - i >= min_cells:
-                segments.append((float(grid.u[i]), float(grid.u[j]), float(q[i])))
-            i = j
-        else:
-            i += 1
-    return segments
+    # a run of flat increments starts and stops where the padded mask changes
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], flat, [False]))))
+    return [
+        (float(grid.u[i]), float(grid.u[j]), float(q[i]))
+        for i, j in zip(edges[::2], edges[1::2])
+        if j - i >= min_cells
+    ]
 
 
 def excess_jumps(stressed: QuantileGrid, baseline: QuantileGrid, min_size):

@@ -130,18 +130,24 @@ def custom_weight(values, tag: str = "custom") -> DistortionWeight:
     return _normalised(raw, tag, ())
 
 
+#: each kind ``make_gamma`` builds: its weight function and the parameters it takes before n
+GAMMA_KINDS = {
+    "mean": (mean_weight, ()),
+    "es": (es_weight, ("alpha",)),
+    "alpha_beta": (alpha_beta_weight, ("alpha", "beta", "p")),
+    "rvar": (rvar_weight, ("alpha", "beta")),
+}
+
+
 def make_gamma(kind: str, n: int, **params) -> DistortionWeight:
     """Dispatch on a tag: es(alpha) | alpha_beta(alpha, beta, p) | rvar(alpha, beta) | mean."""
     kind = kind.lower()
-    if kind == "mean":
-        return mean_weight(n)
-    if kind == "es":
-        return es_weight(params["alpha"], n)
-    if kind == "alpha_beta":
-        return alpha_beta_weight(params["alpha"], params["beta"], params["p"], n)
-    if kind == "rvar":
-        return rvar_weight(params["alpha"], params["beta"], n)
-    raise ValidationError(f"unknown distortion weight kind: {kind!r}")
+    if kind not in GAMMA_KINDS:
+        raise ValidationError(f"unknown distortion weight kind: {kind!r}")
+    build, names = GAMMA_KINDS[kind]
+    if missing := [k for k in names if k not in params]:
+        raise ValidationError(f"{kind} weight needs parameter(s) {', '.join(missing)}")
+    return build(*(params[k] for k in names), n)
 
 
 def eval_rm(grid: QuantileGrid, weight: DistortionWeight) -> float:

@@ -9,6 +9,7 @@ values of s, so the bounds are plain rearrangement sums.
 
 from __future__ import annotations
 
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -85,7 +86,9 @@ def reverse_sensitivity(s_values, weights: WeightSet) -> SensitivityResult:
 
 
 def bivariate_reverse_sensitivity(s_values, weights: WeightSet) -> SensitivityResult:
-    """Same machinery applied to a precomputed s(X_i, X_j) vector."""
+    """Deprecated: call :func:`reverse_sensitivity` on the s(X_i, X_j) vector."""
+    warnings.warn("bivariate_reverse_sensitivity is deprecated; use reverse_sensitivity",
+                  DeprecationWarning, stacklevel=2)
     return reverse_sensitivity(s_values, weights)
 
 

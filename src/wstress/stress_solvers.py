@@ -15,10 +15,15 @@ baseline quantile plus multiplier-weighted constraint directions (scaled, or
 pushed through the inverse of x - lam * u'(x) for the utility family).  The
 multipliers are found by one damped Newton iteration on the constraint
 residuals with forward-difference Jacobians, falling back to coordinate-wise
-bisection at projection kinks.  The integral family's inequalities enter
-that iteration through Robinson's normal map of their KKT conditions, so
-binding and slack constraints are sorted out by the same search rather than
-by guessing active sets.
+bisection at projection kinks.
+
+The rm, mean/variance and utility families share one search path: each gives
+``_search`` a map from multipliers to the stressed grid and one from that
+grid to the residuals; ``_search`` memoises the first, searches from zero
+and models the solution.  The integral family keeps its own search, on
+Robinson's normal map of its KKT conditions in free variables z: it starts
+the constraints the baseline meets as slack and keys its projection on
+max(z, 0), so a probe of a slack constraint reuses the current projection.
 """
 
 from __future__ import annotations
@@ -349,7 +354,7 @@ def _target_scale(targets):
 
 
 def _model(baseline, stressed_q, multipliers, residuals, names, zeta, evaluations,
-           multipliers_quadratic=None):
+           multipliers_quadratic=()):
     stressed = QuantileGrid(stressed_q)
     return StressedModel(
         baseline=baseline,
@@ -359,26 +364,39 @@ def _model(baseline, stressed_q, multipliers, residuals, names, zeta, evaluation
         constraint_names=tuple(names),
         w2=wasserstein2(baseline, stressed),
         zeta=zeta,
-        multipliers_quadratic=(
-            np.empty(0)
-            if multipliers_quadratic is None
-            else np.atleast_1d(np.asarray(multipliers_quadratic, dtype=float))
-        ),
+        multipliers_quadratic=np.atleast_1d(np.asarray(multipliers_quadratic, dtype=float)),
         evaluations=evaluations,
     )
 
 
+def _rows(vectors, n, what):
+    """Stack constraint vectors, each of shape ``(n,)``, as the rows of a ``(k, n)`` array."""
+    rows = [np.asarray(v, dtype=float) for v in vectors]
+    if any(r.shape != (n,) for r in rows):
+        raise ValidationError(f"{what} length differs from the grid")
+    return np.reshape(rows, (-1, n))
+
+
 def _rm_arrays(baseline, constraints):
-    gammas = []
-    targets = []
-    names = []
-    for c in constraints:
-        if c.weight.n != baseline.n:
-            raise ValidationError("distortion weight grid size differs from baseline")
-        gammas.append(c.weight.values)
-        targets.append(c.target)
-        names.append(f"{c.weight.tag}{c.weight.params}")
-    return np.reshape(gammas, (-1, baseline.n)), np.asarray(targets, dtype=float), names
+    gammas = _rows([c.weight.values for c in constraints], baseline.n, "distortion weight")
+    targets = np.asarray([c.target for c in constraints], dtype=float)
+    return gammas, targets, [f"{c.weight.tag}{c.weight.params}" for c in constraints]
+
+
+def _search(baseline, build, residual, d, scale, names, zeta, tol, max_iter,
+            lower=None, spent=0):
+    """Find ``d`` multipliers, from zeros, with ``residual(build(lam)) = 0``.
+
+    ``build`` maps multipliers to the stressed grid and is memoised, so the
+    solution is not rebuilt; ``spent`` counts the evaluations of a pre-solve.
+    """
+    stressed_for = _projection_cache(build)
+    result = multiplier_search(lambda lam: residual(stressed_for(lam)), np.zeros(d),
+                               scale=scale, tol=tol, max_iter=max_iter, lower=lower)
+    return _model(
+        baseline, stressed_for(result.multipliers), result.multipliers,
+        result.residuals, names, zeta, spent + result.evaluations,
+    )
 
 
 def solve_rm(
@@ -395,26 +413,11 @@ def solve_rm(
     are chosen so every risk measure hits its target.
     """
     gammas, targets, names = _rm_arrays(baseline, spec.constraints)
-
-    stressed_for = _projection_cache(
-        lambda lam: _isotonic(baseline.q + gammas.T @ lam, zeta=zeta)
-    )
-
-    def residual(lam):
-        qs = stressed_for(lam)
-        return qs @ gammas.T / baseline.n - targets
-
-    result = multiplier_search(
-        residual,
-        np.zeros(len(targets)),
-        scale=_target_scale(targets),
-        tol=tol,
-        max_iter=max_iter,
-    )
-    qs = stressed_for(result.multipliers)
-    return _model(
-        baseline, qs, result.multipliers, result.residuals, names, zeta,
-        result.evaluations,
+    return _search(
+        baseline,
+        lambda lam: _isotonic(baseline.q + gammas.T @ lam, zeta=zeta),
+        lambda qs: qs @ gammas.T / baseline.n - targets,
+        len(targets), _target_scale(targets), names, zeta, tol, max_iter,
     )
 
 
@@ -461,7 +464,6 @@ def solve_mean_var_rm(
     where the reshaping degenerates.
     """
     gammas, rm_targets, rm_names = _rm_arrays(baseline, spec.constraints)
-    d = 2 + len(rm_targets)
 
     def build(lam):
         denom = 1.0 + lam[1]
@@ -470,35 +472,24 @@ def solve_mean_var_rm(
         ell = baseline.q + lam[0] + lam[1] * spec.mean + gammas.T @ lam[2:]
         return _isotonic(ell / denom, zeta=zeta)
 
-    stressed_for = _projection_cache(build)
-
-    targets = np.concatenate(([spec.mean, spec.sd], rm_targets))
-
-    def residual(lam):
-        qs = stressed_for(lam)
+    def residual(qs):
         m, sd = float(np.mean(qs)), float(np.sqrt(np.mean((qs - np.mean(qs)) ** 2)))
         rm = qs @ gammas.T / baseline.n - rm_targets
         return np.concatenate(([m - spec.mean, sd - spec.sd], rm))
 
-    result = multiplier_search(
-        residual,
-        np.zeros(d),
-        scale=np.maximum(_target_scale(targets), spec.sd),
-        tol=tol,
-        max_iter=max_iter,
+    targets = np.concatenate(([spec.mean, spec.sd], rm_targets))
+    model = _search(
+        baseline, build, residual, len(targets),
+        np.maximum(_target_scale(targets), spec.sd), ["mean", "sd", *rm_names],
+        zeta, tol, max_iter,
     )
-    if abs(1.0 + result.multipliers[1]) < _SCALE_GUARD:
+    if abs(1.0 + model.multipliers[1]) < _SCALE_GUARD:
         raise NotConvergedError(
             "degenerate solution: scale multiplier pinned near -1",
-            residuals=result.residuals,
-            multipliers=result.multipliers,
+            residuals=model.residuals,
+            multipliers=model.multipliers,
         )
-    qs = stressed_for(result.multipliers)
-    names = ["mean", "sd", *rm_names]
-    return _model(
-        baseline, qs, result.multipliers, result.residuals, names, zeta,
-        result.evaluations,
-    )
+    return model
 
 
 def solve_integral(
@@ -521,18 +512,8 @@ def solve_integral(
     starts at z = min(F(0), 0), so constraints the baseline already meets
     start slack.
     """
-    lin_h = (
-        np.asarray([c.h for c in spec.linear])
-        if spec.linear
-        else np.zeros((0, baseline.n))
-    )
-    quad_h = (
-        np.asarray([c.h for c in spec.quadratic])
-        if spec.quadratic
-        else np.zeros((0, baseline.n))
-    )
-    if lin_h.shape[1] != baseline.n or quad_h.shape[1] != baseline.n:
-        raise ValidationError("constraint function length differs from grid")
+    lin_h = _rows([c.h for c in spec.linear], baseline.n, "constraint function")
+    quad_h = _rows([c.h for c in spec.quadratic], baseline.n, "constraint function")
     constraints = (*spec.linear, *spec.quadratic)
     bounds = np.asarray([c.bound for c in constraints], dtype=float)
     d = len(spec.linear)
@@ -583,8 +564,9 @@ def solve_var(baseline: QuantileGrid, spec: VarStress) -> StressedModel:
     """
     q = baseline.q
     n = baseline.n
+    measure = var if spec.kind == "left" else var_plus
+    base = measure(baseline, spec.alpha)
     if spec.kind == "left":
-        base = var(baseline, spec.alpha)
         if spec.value > base:
             raise NoSolutionError(
                 f"no solution: target {spec.value:.6g} exceeds the baseline left "
@@ -598,7 +580,6 @@ def solve_var(baseline: QuantileGrid, spec: VarStress) -> StressedModel:
         stop = int(np.floor(spec.alpha * n + 0.5))
         name = f"var({spec.alpha})"
     else:
-        base = var_plus(baseline, spec.alpha)
         if spec.value < base:
             raise NoSolutionError(
                 f"no solution: target {spec.value:.6g} is below the baseline right "
@@ -614,9 +595,7 @@ def solve_var(baseline: QuantileGrid, spec: VarStress) -> StressedModel:
     qs = q.copy()
     if stop > start:
         qs[start:stop] = spec.value
-    achieved = var(QuantileGrid(qs), spec.alpha) if spec.kind == "left" else var_plus(
-        QuantileGrid(qs), spec.alpha
-    )
+    achieved = measure(QuantileGrid(qs), spec.alpha)
     return _model(baseline, qs, [], [achieved - spec.value], [name], 0.0, 1)
 
 
@@ -684,65 +663,38 @@ def solve_utility_rm(
     reported ``evaluations`` include the risk-measure-only pre-solve's.
     """
     gammas, rm_targets, rm_names = _rm_arrays(baseline, spec.constraints)
-    d = len(rm_targets)
     names = ["utility", *rm_names]
-    scale_u = max(1.0, abs(spec.floor))
-    presolve_evaluations = 0
-
-    if d:
-        rm_model = solve_rm(
+    if spec.constraints:
+        pre = solve_rm(
             baseline, RmStress(spec.constraints), zeta=zeta, tol=tol, max_iter=max_iter
         )
-        presolve_evaluations = rm_model.evaluations
-        base_util = expected_utility(rm_model.stressed, spec.utility)
-        if base_util >= spec.floor - tol * scale_u:
-            return _model(
-                baseline,
-                rm_model.stressed.q,
-                np.concatenate(([0.0], rm_model.multipliers)),
-                np.concatenate(([min(base_util - spec.floor, 0.0)], rm_model.residuals)),
-                names,
-                zeta,
-                presolve_evaluations,
-            )
     else:
         # the nondecreasing baseline is its own projection at zeta = 0
-        smoothed = QuantileGrid(spav(baseline.q, zeta=zeta)) if zeta > 0.0 else baseline
-        base_util = expected_utility(smoothed, spec.utility)
-        if base_util >= spec.floor - tol * scale_u:
-            return _model(
-                baseline, smoothed.q, [0.0],
-                [min(base_util - spec.floor, 0.0)], names, zeta, 1,
-            )
+        q = spav(baseline.q, zeta=zeta) if zeta > 0.0 else baseline.q
+        pre = _model(baseline, q, [], [], [], zeta, 1)
+    base_util = expected_utility(pre.stressed, spec.utility)
+    if base_util >= spec.floor - tol * max(1.0, abs(spec.floor)):
+        return _model(
+            baseline, pre.stressed.q, [0.0, *pre.multipliers],
+            [min(base_util - spec.floor, 0.0), *pre.residuals], names, zeta,
+            pre.evaluations,
+        )
 
     def build(lam):
-        ell = baseline.q + gammas.T @ lam[1:]
-        projected = _isotonic(ell, zeta=zeta)
+        projected = _isotonic(baseline.q + gammas.T @ lam[1:], zeta=zeta)
         return _inverse_shifted_marginal(projected, spec.utility, max(lam[0], 0.0))
 
-    stressed_for = _projection_cache(build)
-
-    targets = np.concatenate(([spec.floor], rm_targets))
-
-    def residual(lam):
-        qs = stressed_for(lam)
+    def residual(qs):
         utility = float(np.mean(spec.utility.value(qs))) - spec.floor
         return np.concatenate(([utility], qs @ gammas.T / baseline.n - rm_targets))
 
-    lower = np.full(1 + d, -np.inf)
-    lower[0] = 0.0
-    result = multiplier_search(
-        residual,
-        np.zeros(1 + d),
-        scale=_target_scale(targets),
-        tol=tol,
-        max_iter=max_iter,
-        lower=lower,
-    )
-    qs = stressed_for(result.multipliers)
-    return _model(
-        baseline, qs, result.multipliers, result.residuals, names, zeta,
-        presolve_evaluations + result.evaluations,
+    targets = np.concatenate(([spec.floor], rm_targets))
+    lower = np.concatenate(([0.0], np.full(rm_targets.size, -np.inf)))
+    # the one-evaluation smoothing check is not counted when the floor binds
+    return _search(
+        baseline, build, residual, targets.size, _target_scale(targets), names,
+        zeta, tol, max_iter, lower=lower,
+        spent=pre.evaluations if spec.constraints else 0,
     )
 
 

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import uniform_grid
 from wstress.distributions import (
+    DENSITY_FLOOR,
+    FLAT_REL_TOL,
     DensityCurve,
     Empirical,
     Gamma,
@@ -134,6 +138,25 @@ class TestCdfAndDensity:
         with pytest.raises(DegenerateGridError):
             cdf_and_density(QuantileGrid(np.full(32, 2.0)))
 
+    def test_density_is_the_difference_quotient_of_the_cdf(self):
+        # central differences inside, one-sided at the ends, bit for bit,
+        # on grids with atoms and gaps
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n = int(rng.integers(16, 300))
+            increments = rng.exponential(size=n - 1) * (rng.random(n - 1) < 0.8)
+            increments[rng.integers(n - 1)] += 50.0 * rng.random()
+            q = rng.normal() + np.concatenate(([0.0], np.cumsum(increments)))
+            curve = cdf_and_density(QuantileGrid(q), int(rng.integers(16, 700)))
+            cdf, dy = curve.cdf, curve.y[1] - curve.y[0]
+            f = np.empty(cdf.size)
+            f[1:-1] = (cdf[2:] - cdf[:-2]) / (2.0 * dy)
+            f[0] = (cdf[1] - cdf[0]) / dy
+            f[-1] = (cdf[-1] - cdf[-2]) / dy
+            integral = float(np.trapezoid(f, curve.y))
+            assert curve.raw_integral == integral
+            assert curve.f.tobytes() == np.maximum(f / integral, DENSITY_FLOOR).tobytes()
+
     def test_integral_near_one(self):
         spec = Lognormal(0.0, 1.0)
         curve = cdf_and_density(discretize(spec, 4096), 4096)
@@ -161,6 +184,24 @@ class TestStructureDetectors:
         lo, hi, value = segments[0]
         assert lo < 0.4 < hi
         assert value == pytest.approx(q[flat][0])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([0.0, 0.0, 1e-12, 0.5, 2.0]), min_size=15, max_size=80),
+           st.integers(1, 4))
+    def test_flat_segments_match_a_scan(self, increments, min_cells):
+        q = np.concatenate(([0.0], np.cumsum(increments)))
+        grid = QuantileGrid(q)
+        flat = np.diff(q) <= FLAT_REL_TOL * max(1.0, q[-1] - q[0])
+        expected = []  # maximal runs of flat increments, one cell at a time
+        i = 0
+        while i < flat.size:
+            j = i
+            while j < flat.size and flat[j]:
+                j += 1
+            if j - i >= min_cells:
+                expected.append((float(grid.u[i]), float(grid.u[j]), float(q[i])))
+            i = max(j, i + 1)
+        assert flat_segments(grid, min_cells=min_cells) == expected
 
     def test_jump_detection_relative_to_baseline(self):
         n = 1024

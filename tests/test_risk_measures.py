@@ -63,6 +63,25 @@ class TestWeights:
         with pytest.raises(ValidationError):
             make_gamma("nope", 64)
 
+    @pytest.mark.parametrize(
+        "kind, params, missing",
+        [
+            ("es", {}, "alpha"),
+            ("rvar", {"alpha": 0.5}, "beta"),
+            ("alpha_beta", {"beta": 0.1}, "alpha, p"),
+        ],
+        ids=["es", "rvar", "alpha_beta"],
+    )
+    def test_make_gamma_names_missing_parameters(self, kind, params, missing):
+        with pytest.raises(ValidationError, match=f"needs parameter\\(s\\) {missing}$"):
+            make_gamma(kind, 64, **params)
+
+    def test_make_gamma_dispatches_to_each_builder(self):
+        assert make_gamma("MEAN", 64).values.tobytes() == mean_weight(64).values.tobytes()
+        assert make_gamma("es", 64, alpha=0.9).params == (0.9,)
+        assert make_gamma("rvar", 64, alpha=0.2, beta=0.6).params == (0.2, 0.6)
+        assert make_gamma("alpha_beta", 64, alpha=0.9, beta=0.1, p=0.5).params == (0.9, 0.1, 0.5)
+
     def test_coherence_marker(self):
         assert es_weight(0.9, 256).is_nondecreasing
         assert mean_weight(256).is_nondecreasing

@@ -97,7 +97,7 @@ class TestBivariate:
             x_j = rng.normal(size=n)
             s = joint_tail_indicator_s(x_i, x_j, 0.8)
             w = weights_from(np.exp(0.3 * rng.normal(size=n)))  # independent of s
-            values.append(abs(bivariate_reverse_sensitivity(s, w).value))
+            values.append(abs(reverse_sensitivity(s, w).value))
         assert np.mean(values) <= 3.0 / np.sqrt(n)
 
     def test_comonotone_joint_indicator(self):
@@ -106,7 +106,15 @@ class TestBivariate:
         x = rng.normal(size=n)
         s = joint_tail_indicator_s(x, x, 0.9)
         w = weights_from(1.0 + 2.0 * s)
-        assert bivariate_reverse_sensitivity(s, w).value == 1.0
+        assert reverse_sensitivity(s, w).value == 1.0
+
+    def test_deprecated_alias_warns_and_delegates(self):
+        rng = np.random.default_rng(29)
+        s = joint_tail_indicator_s(rng.normal(size=500), rng.normal(size=500), 0.8)
+        w = weights_from(np.exp(0.3 * rng.normal(size=500)))
+        with pytest.warns(DeprecationWarning, match="use reverse_sensitivity"):
+            result = bivariate_reverse_sensitivity(s, w)
+        assert result == reverse_sensitivity(s, w)
 
 
 class TestDeltaMeasure:

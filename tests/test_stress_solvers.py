@@ -235,7 +235,9 @@ class TestSolveIntegral:
 
     def test_against_slsqp_oracle(self):
         # the QP of test_against_qp_oracle, solved by scipy's SLSQP, which
-        # runs offline
+        # runs offline; the objective is the mean squared gap, on the scale
+        # of the constraints, so the line search converges whatever the
+        # BLAS thread count
         optimize = pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(41)
         n = 64
@@ -265,16 +267,16 @@ class TestSolveIntegral:
              "jac": lambda g: -2.0 * hq * g / n},
         ]
         oracle = optimize.minimize(
-            lambda g: float(np.sum((g - base.q) ** 2)),
+            lambda g: float(np.mean((g - base.q) ** 2)),
             base.q,
-            jac=lambda g: 2.0 * (g - base.q),
+            jac=lambda g: 2.0 * (g - base.q) / n,
             constraints=constraints,
             method="SLSQP",
             options={"ftol": 1e-14, "maxiter": 1000},
         )
         assert oracle.success, oracle.message
         ours = float(np.sum((model.stressed.q - base.q) ** 2))
-        assert ours <= oracle.fun + 1e-10
+        assert ours <= n * oracle.fun + 1e-10
         assert np.abs(model.stressed.q - oracle.x).max() <= 1e-8
 
     def test_kkt_with_sixteen_disjoint_bands(self, lognormal_grid):
@@ -316,6 +318,14 @@ class TestSolveIntegral:
         ) <= bounds
         assert np.all(mults[slack_at_baseline] == 0.0)
         assert np.all(active[~slack_at_baseline])
+
+    def test_constraint_functions_off_the_grid_raise(self, lognormal_grid):
+        # one function per constraint, each of the grid's length
+        n = lognormal_grid.n
+        for h in ([np.ones(n), np.ones(n + 1)], [np.ones(n - 1)]):
+            spec = IntegralStress(linear=tuple(LinearConstraint(h=v, bound=1.0) for v in h))
+            with pytest.raises(ValidationError, match="length differs from the grid"):
+                solve_integral(lognormal_grid, spec)
 
     def test_budget_exhaustion_reports_nonnegative_multipliers(self, lognormal_grid):
         m, _ = mean_sd(lognormal_grid)
@@ -524,6 +534,19 @@ class TestSmoothedSolves:
         assert np.diff(smooth.stressed.q).max() < np.diff(rough.stressed.q).max()
 
 
+def _record_searches(monkeypatch):
+    """Record the evaluations of every ``multiplier_search`` the solvers make."""
+    searched = []
+
+    def recording_search(*args, **kwargs):
+        result = multiplier_search(*args, **kwargs)
+        searched.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(stress_solvers, "multiplier_search", recording_search)
+    return searched
+
+
 class TestSolveCounts:
     def test_slack_probe_reuses_the_iterate(self, lognormal_grid, monkeypatch):
         # four disjoint bands, one slack at the baseline: a probe of the slack
@@ -556,14 +579,7 @@ class TestSolveCounts:
         assert len(calls) <= 13
 
     def test_binding_utility_counts_the_rm_presolve(self, lognormal_grid, monkeypatch):
-        searched = []
-
-        def recording_search(*args, **kwargs):
-            result = multiplier_search(*args, **kwargs)
-            searched.append(result.evaluations)
-            return result
-
-        monkeypatch.setattr(stress_solvers, "multiplier_search", recording_search)
+        searched = _record_searches(monkeypatch)
         u = HARAUtility(1.0, 5.0, 0.5)
         w = es_weight(0.95, 4096)
         spec = UtilityRm(
@@ -575,6 +591,16 @@ class TestSolveCounts:
         assert model.multipliers[0] > 0.0
         assert len(searched) == 2  # the rm-only pre-solve, then the joint search
         assert model.evaluations == sum(searched)
+
+    def test_binding_utility_alone_counts_its_search(self, lognormal_grid, monkeypatch):
+        # without risk measures there is no pre-solve: the floor check on the
+        # baseline is not counted once the floor binds
+        searched = _record_searches(monkeypatch)
+        u = HARAUtility(1.0, 5.0, 0.5)
+        spec = UtilityRm(utility=u, floor=1.01 * expected_utility(lognormal_grid, u))
+        model = solve_utility_rm(lognormal_grid, spec)
+        assert model.multipliers[0] > 0.0
+        assert model.evaluations == sum(searched) and len(searched) == 1
 
 
 class TestZetaValidation:
