@@ -212,16 +212,16 @@ def read_sample_csv(path: str, output_column: str = "Y") -> tuple[SampleSet, np.
     return SampleSet(X=X, Y=y, columns=names), theta
 
 
-def resolve_samples(config: dict) -> tuple[SampleSet | None, np.ndarray | None]:
+def resolve_samples(config: dict) -> SampleSet | None:
+    """The samples of the ``input`` section (a CSV or the scenario), or None without one."""
     section = _get(config, "input", dict, None)
     if section is None:
-        return None, None
+        return None
     csv_path = _get(section, "csv", str, None, "input")
     if csv_path is not None:
-        return read_sample_csv(csv_path, _get(section, "output_column", str, "Y", "input"))
+        return read_sample_csv(csv_path, _get(section, "output_column", str, "Y", "input"))[0]
     if "scenario" in section:
-        out = generate(_scenario_config(config))
-        return out.samples, out.theta
+        return generate(_scenario_config(config)).samples
     raise ConfigError("input section needs either 'csv' or 'scenario'")
 
 
@@ -432,7 +432,7 @@ def _prepare(config: dict):
     entries = _get(config, "stresses", list)
     if not entries:
         raise ConfigError("need at least one stress")
-    samples, _ = resolve_samples(config)
+    samples = resolve_samples(config)
     baseline_spec = resolve_baseline(config, samples)
     baseline = discretize(baseline_spec, config["grid_n"])
     stresses = {}
@@ -551,22 +551,24 @@ def run_sensitivity(config: dict) -> tuple[int, str]:
     # per input: the unweighted delta, then one per stress, from one call
     deltas = {col: delta_measure(samples.Y, samples.column(col), [None, *weight_sets.values()])
               for col in samples.columns} if want_delta else {}
-    for k, (name, wset) in enumerate(weight_sets.items(), start=1):
-        report_rows = []
-        for col in samples.columns:
-            x = samples.column(col)
-            for tag, s_function in s_functions:
-                report_rows.append((col, tag, reverse_sensitivity(s_function(x), wset)))
-        for a, b in pairs:
-            s_vals = joint_tail_indicator_s(samples.column(a), samples.column(b), pair_alpha)
-            report_rows.append((f"{a}:{b}", f"joint_tail:{pair_alpha}",
-                                reverse_sensitivity(s_vals, wset)))
-        for target, tag, res in report_rows:
+    # each s-vector is built once, one at a time, and reweighted by every stress
+    s_vectors = chain(
+        ((col, tag, s_function(samples.column(col)))
+         for col in samples.columns for tag, s_function in s_functions),
+        ((f"{a}:{b}", f"joint_tail:{pair_alpha}",
+          joint_tail_indicator_s(samples.column(a), samples.column(b), pair_alpha))
+         for a, b in pairs),
+    )
+    results = [(target, tag, [reverse_sensitivity(s, w) for w in weight_sets.values()])
+               for target, tag, s in s_vectors]
+    for k, name in enumerate(weight_sets):
+        for target, tag, per_stress in results:
+            res = per_stress[k]
             row = [name, target, tag, res.value, res.numerator, res.max_bound,
                    res.min_bound]
             if want_delta:
                 delta = deltas.get(target)
-                row += [delta[0], delta[k]] if delta else [float("nan")] * 2
+                row += [delta[0], delta[k + 1]] if delta else [float("nan")] * 2
             rows.append(row)
 
     path = out_dir / "sensitivity.csv"

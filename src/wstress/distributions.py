@@ -167,9 +167,9 @@ class Empirical:
 
     @cached_property
     def _density_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The KDE on a 4096-point grid reaching five bandwidths past the sample."""
+        """The KDE on a ``DEFAULT_GRID_N``-point grid reaching five bandwidths past the sample."""
         h = self.bandwidth
-        grid = np.linspace(self.samples[0] - 5.0 * h, self.samples[-1] + 5.0 * h, 4096)
+        grid = np.linspace(self.samples[0] - 5.0 * h, self.samples[-1] + 5.0 * h, DEFAULT_GRID_N)
         return grid, kde_density(self.samples, grid, bandwidth=h)
 
     def pdf(self, y):
@@ -225,9 +225,6 @@ class DensityCurve:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "cdf", c)
 
-    def density_at(self, y):
-        return np.interp(y, self.y, self.f, left=0.0, right=0.0)
-
     def cdf_at(self, y):
         return np.interp(y, self.y, self.cdf, left=0.0, right=1.0)
 
@@ -239,8 +236,10 @@ def cdf_and_density(grid: QuantileGrid, value_grid_size: int = DEFAULT_GRID_N) -
     interpolation between distinct grid values; the density is its central
     finite difference on an equally spaced value grid spanning [q_1, q_n].
     Flat quantile segments (atoms) become density spikes spread over the
-    local knot gap; quantile jumps become zero-density gaps (floored at
-    ``DENSITY_FLOOR``).
+    local knot gap.  A quantile jump spreads its cell's 1/n mass evenly over
+    the gap, so the density there is about 1/(n * gap), not zero; only
+    :func:`wstress.reweight.rn_weights` zeroes such gaps.  The density is
+    floored at ``DENSITY_FLOOR``.
     """
     q = grid.q
     n = grid.n

@@ -81,7 +81,10 @@ def kde_density(values, grid, weights=None, bandwidth=None) -> np.ndarray:
     if g.size < 8:
         raise ValidationError("KDE grid needs at least 8 points")
     dx = g[1] - g[0]
-    if dx <= 0.0 or not np.allclose(np.diff(g), dx, rtol=1e-8):
+    # points far from zero are rounded to their own ulp, so the spacing may
+    # vary by a few ulps of the grid's magnitude
+    atol = 4.0 * np.spacing(np.abs(g).max())
+    if dx <= 0.0 or not np.allclose(np.diff(g), dx, rtol=1e-8, atol=atol):
         raise ValidationError("KDE grid must be equally spaced and increasing")
     w = _normalized_weights(v, weights)
     h = silverman_bandwidth(v, w) if bandwidth is None else float(bandwidth)

@@ -24,7 +24,7 @@ from .distributions import (
     excess_jumps,
 )
 from .errors import ValidationError
-from .kde import kde_density, weighted_quantile
+from .kde import kde_density
 
 __all__ = [
     "SampleSet",
@@ -32,7 +32,6 @@ __all__ = [
     "rn_weights",
     "stressed_cdf",
     "stressed_expectation",
-    "weighted_quantile",
 ]
 
 ZERO_WEIGHT_WARN_FRACTION = 0.05
@@ -101,10 +100,12 @@ class WeightSet:
 def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGrid) -> WeightSet:
     """Per-sample density-ratio weights stressed/baseline at the output.
 
-    The ratio is formed on a common equally spaced value grid spanning the
-    pooled range of the baseline support, the stressed grid, and the
-    observed outputs (``DEFAULT_GRID_N`` points), then linearly
-    interpolated to the sample points; densities are floored at
+    The stress is the displacement ``shift = stressed.q - baseline.q`` of
+    each baseline quantile.  The ratio is formed on a common equally spaced
+    value grid spanning the pooled range of the baseline support, the
+    stressed grid, and the observed (and, for empirical baselines,
+    transported) outputs (``DEFAULT_GRID_N`` points), then linearly
+    interpolated to the sample points; the baseline density is floored at
     ``DENSITY_FLOOR`` before division.
 
     For parametric baselines the stressed density comes from the grid's CDF
@@ -113,29 +114,21 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
     reported as ``bin_width``), stress-induced quantile jumps are mass-free
     and give weight zero (counted in ``zero_weight_count``), and past the
     outer knots the ratio follows the baseline density shifted by the
-    stress's end displacement.  For empirical baselines the samples are
-    pushed through the rank -> stressed-quantile transport map and both
-    densities are kernel estimates with one shared bandwidth.
+    stress's mean end displacement.  For empirical baselines each sample
+    moves by the displacement interpolated at its value (held at the end
+    values past the end knots) and both densities are kernel estimates with
+    one shared bandwidth.
     """
     y = samples.Y
     base_grid = discretize(baseline, stressed.n)
-    transported = None
-    if isinstance(baseline, Empirical):
-        # Push every sample through the rank -> stressed-quantile transport
-        # map; beyond the grid's end knots the map continues with unit slope
-        # (the stress acts as the end-cell displacement there).
-        ranks = np.interp(y, base_grid.q, base_grid.u)
-        transported = np.interp(ranks, stressed.u, stressed.q)
-        top = y > base_grid.q[-1]
-        transported[top] = stressed.q[-1] + (y[top] - base_grid.q[-1])
-        bottom = y < base_grid.q[0]
-        transported[bottom] = stressed.q[0] + (y[bottom] - base_grid.q[0])
+    shift = stressed.q - base_grid.q
+    empirical = isinstance(baseline, Empirical)
+    # the transport map: np.interp holds the end displacement constant, so
+    # past the end knots the map continues with unit slope
+    moved = y + np.interp(y, base_grid.q, shift) if empirical else y
 
-    lo = min(base_grid.q[0], stressed.q[0], float(y.min()))
-    hi = max(base_grid.q[-1], stressed.q[-1], float(y.max()))
-    if transported is not None:
-        lo = min(lo, float(transported.min()))
-        hi = max(hi, float(transported.max()))
+    lo = min(base_grid.q[0], stressed.q[0], float(y.min()), float(moved.min()))
+    hi = max(base_grid.q[-1], stressed.q[-1], float(y.max()), float(moved.max()))
     span = hi - lo
     if span <= 0.0:
         raise ValidationError("degenerate output range")
@@ -150,20 +143,18 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
             "baseline density vanishes at observed outputs; weights undefined"
         )
 
-    if transported is not None:
+    if empirical:
         # Match estimators: the transported samples are a sample of the
         # stressed law with the same size and tail granularity as the
         # baseline sample, so smoothing both with the same kernel and
         # bandwidth keeps the ratio free of one-sided estimator artifacts;
         # quantile jumps and atoms smear consistently on both sides.
-        g_stressed = kde_density(transported, grid, bandwidth=baseline.bandwidth)
-        ratio = g_stressed / np.maximum(f_base, DENSITY_FLOOR)
+        g_stressed = kde_density(moved, grid, bandwidth=baseline.bandwidth)
     else:
         curve = cdf_and_density(stressed, DEFAULT_GRID_N)
         g_stressed = np.interp(grid, curve.y, curve.f, left=0.0, right=0.0)
-        ratio = g_stressed / np.maximum(f_base, DENSITY_FLOOR)
         # Stress-induced quantile jumps are mass-free value intervals: zero
-        # the ratio strictly inside them.  A jump is an increment that
+        # the density strictly inside them.  A jump is an increment that
         # dwarfs the baseline increment at the same rank, which leaves
         # natural tail spreading alone.
         dy = float(grid[1] - grid[0])
@@ -172,24 +163,16 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
             j = round(u * stressed.n) - 1
             pad = max(dy, float(b_inc[j]))
             gap = (grid > stressed.q[j] + pad) & (grid < stressed.q[j + 1] - pad)
-            ratio[gap] = 0.0
+            g_stressed[gap] = 0.0
         # Tail continuation: the grid reconstruction is reliable only where
         # knots are dense, so beyond the last few knots (where the stress
-        # acts as a locally constant displacement) the ratio switches to a
-        # shifted/unshifted baseline density ratio.
+        # acts as a locally constant displacement) the stressed density is
+        # the baseline density shifted by the mean displacement there.
         k = min(16, stressed.n // 8)
-        shift_top = float(np.mean(stressed.q[-k:] - base_grid.q[-k:]))
-        shift_bot = float(np.mean(stressed.q[:k] - base_grid.q[:k]))
-        upper = grid > stressed.q[-k]
-        if upper.any():
-            ratio[upper] = np.asarray(
-                baseline.pdf(grid[upper] - shift_top), dtype=float
-            ) / np.maximum(f_base[upper], DENSITY_FLOOR)
-        lower_tail = grid < stressed.q[k - 1]
-        if lower_tail.any():
-            ratio[lower_tail] = np.asarray(
-                baseline.pdf(grid[lower_tail] - shift_bot), dtype=float
-            ) / np.maximum(f_base[lower_tail], DENSITY_FLOOR)
+        for tail, d in ((grid > stressed.q[-k], shift[-k:].mean()),
+                        (grid < stressed.q[k - 1], shift[:k].mean())):
+            g_stressed[tail] = baseline.pdf(grid[tail] - d)
+    ratio = g_stressed / np.maximum(f_base, DENSITY_FLOOR)
 
     w = np.interp(y, grid, ratio)
     zero_count = int(np.sum(w < 1e-10))

@@ -660,7 +660,8 @@ def solve_utility_rm(
     solution already satisfies it the utility multiplier is zero; otherwise
     the constraint binds and the solution is the inverse of
     x - lam1 * u'(x) applied to the projected risk-measure solution.  The
-    reported ``evaluations`` include the risk-measure-only pre-solve's.
+    reported ``evaluations`` include the pre-solve's: the risk-measure-only
+    solve, or the one floor check of the (smoothed) baseline without one.
     """
     gammas, rm_targets, rm_names = _rm_arrays(baseline, spec.constraints)
     names = ["utility", *rm_names]
@@ -690,11 +691,9 @@ def solve_utility_rm(
 
     targets = np.concatenate(([spec.floor], rm_targets))
     lower = np.concatenate(([0.0], np.full(rm_targets.size, -np.inf)))
-    # the one-evaluation smoothing check is not counted when the floor binds
     return _search(
         baseline, build, residual, targets.size, _target_scale(targets), names,
-        zeta, tol, max_iter, lower=lower,
-        spent=pre.evaluations if spec.constraints else 0,
+        zeta, tol, max_iter, lower=lower, spent=pre.evaluations,
     )
 
 

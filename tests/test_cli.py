@@ -8,6 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wstress import cli
 from wstress.cli import (
     EXIT_NO_SOLUTION,
     EXIT_NOT_CONVERGED,
@@ -318,6 +319,41 @@ class TestSensitivityCommand:
         assert len(body) - 1 == 10 * 3 * 2 + 2 * 2
         assert body[0].split(",")[:4] == ["stress", "input", "s_tag", "S"]
         assert "delta_baseline" not in body[0]
+
+    def test_s_vectors_built_once_per_run(self, sens_setup, tmp_path, monkeypatch):
+        calls = {}
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("power_s", "tail_indicator_s", "joint_tail_indicator_s",
+                     "reverse_sensitivity"):
+            counting(name)
+        config = self.base_config(
+            tmp_path,
+            s_functions=["identity", "power:2", "tail:0.95"],
+            pairs=[["L5", "L10"], ["L9", "L10"]],
+        )
+        cfg = write_config(tmp_path, config)
+        assert main(["sensitivity", str(cfg)]) == EXIT_OK
+        # one vector per input and s-function, and per pair; each reweighted twice
+        assert calls == {"power_s": 10, "tail_indicator_s": 10, "joint_tail_indicator_s": 2,
+                         "reverse_sensitivity": 2 * (10 * 3 + 2)}
+        rows = list(csv.reader(
+            l for l in (tmp_path / "out" / "sensitivity.csv").read_text().splitlines()
+            if not l.startswith("#")
+        ))[1:]
+        # stress-major rows: inputs in column order, s-functions in configured order
+        expected = [(c, t) for c in [f"L{m}" for m in range(1, 11)]
+                    for t in ("identity", "power:2", "tail:0.95")]
+        expected += [("L5:L10", "joint_tail:0.95"), ("L9:L10", "joint_tail:0.95")]
+        assert [tuple(r[:3]) for r in rows] == [(s, *e) for s in ("s1", "s2") for e in expected]
 
     def test_delta_columns_present_only_when_requested(self, sens_setup, tmp_path):
         config = self.base_config(tmp_path, s_functions=["identity"], delta=True)

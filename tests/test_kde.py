@@ -73,3 +73,33 @@ class TestEmpiricalDensityCache:
         expected = np.interp(y, grid, dens, left=0.0, right=0.0)
         assert emp.bandwidth == h
         assert np.array_equal(emp.pdf(y), expected)
+
+
+class TestKdeGridCheck:
+    """The equal-spacing check allows the rounding of points far from zero."""
+
+    OFFSET = 1e8
+
+    def test_offset_grid_matches_the_unshifted_grid(self):
+        rng = np.random.default_rng(17)
+        v = rng.normal(0.0, 100.0, 5000)
+        grid = np.linspace(-500.0, 500.0, 4096)
+        shifted = np.linspace(self.OFFSET - 500.0, self.OFFSET + 500.0, 4096)
+        ref = kde_density(v, grid, bandwidth=10.0)
+        ours = kde_density(v + self.OFFSET, shifted, bandwidth=10.0)
+        assert np.abs(ours - ref).max() <= 1e-6 * ref.max()
+
+    def test_offset_empirical_pdf(self):
+        rng = np.random.default_rng(19)
+        v = rng.normal(0.0, 100.0, 5000)
+        y = np.linspace(-400.0, 400.0, 101)
+        ours = Empirical(self.OFFSET + v).pdf(self.OFFSET + y)
+        ref = Empirical(v).pdf(y)
+        assert np.abs(ours - ref).max() <= 1e-4 * ref.max()
+
+    @pytest.mark.parametrize("offset, bump", [(0.0, 1e-6), (1e8, 1e-6)])
+    def test_uneven_grid_raises(self, offset, bump):
+        grid = np.linspace(offset - 500.0, offset + 500.0, 4096)
+        grid[2000] += bump
+        with pytest.raises(ValidationError, match="equally spaced"):
+            kde_density(np.full(10, offset), grid, bandwidth=10.0)

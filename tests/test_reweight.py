@@ -3,7 +3,8 @@ import pytest
 
 from wstress.distributions import Empirical, Lognormal, discretize
 from wstress.errors import ValidationError
-from wstress.kde import weighted_quantile
+from wstress import reweight
+from wstress.kde import kde_density, weighted_quantile
 from wstress.reweight import (
     SampleSet,
     WeightSet,
@@ -11,8 +12,14 @@ from wstress.reweight import (
     stressed_cdf,
     stressed_expectation,
 )
-from wstress.risk_measures import es_weight, eval_rm, var
-from wstress.stress_solvers import RmConstraint, RmStress, solve_rm
+from wstress.risk_measures import es_weight, eval_rm, mean_sd, var
+from wstress.stress_solvers import (
+    MeanVarRm,
+    RmConstraint,
+    RmStress,
+    solve_mean_var_rm,
+    solve_rm,
+)
 
 
 def make_samples(rng, n=50_000):
@@ -109,6 +116,50 @@ class TestRnWeights:
             samples.Y < np.quantile(samples.Y, 0.95)
         )
         assert np.abs(w.w[central] - 1.0).max() < 0.1
+
+    def test_parametric_tails_follow_the_shifted_baseline(self):
+        # past the outer knots each tail's ratio is f(y - d) / f(y), with d the
+        # mean displacement of that tail's last (first) k knots
+        rng = np.random.default_rng(107)
+        samples = make_samples(rng)
+        spec = Lognormal(7.0 / 8.0, 0.5)
+        base = discretize(spec, 1024)
+        mean, sd = mean_sd(base)
+        stressed = solve_mean_var_rm(base, MeanVarRm(mean=mean, sd=0.8 * sd)).stressed
+        w = rn_weights(samples, spec, stressed)
+        k, y, pad = 16, samples.Y, 2.0 * w.meta["bin_width"]
+        shift = stressed.q - base.q
+        for tail, d in ((y > stressed.q[-k] + pad, shift[-k:].mean()),
+                        (y < stressed.q[k - 1] - pad, shift[:k].mean())):
+            expected = spec.pdf(y[tail] - d) / spec.pdf(y[tail]) / w.meta["normalisation"]
+            assert tail.sum() > 100
+            np.testing.assert_allclose(w.w[tail], expected, rtol=1e-3, atol=1e-4)
+
+    def test_empirical_transport_is_the_rank_to_quantile_map(self, monkeypatch):
+        # the displacement map equals rank -> stressed quantile, continued with
+        # unit slope past the end knots, written out as the reference
+        moved = []
+
+        def capturing(values, grid, **kwargs):
+            moved.append(np.array(values))
+            return kde_density(values, grid, **kwargs)
+
+        monkeypatch.setattr(reweight, "kde_density", capturing)
+        rng = np.random.default_rng(113)
+        samples = make_samples(rng, n=20_000)
+        spec = Empirical(samples.Y)
+        base = discretize(spec, 512)
+        w95 = es_weight(0.95, 512)
+        stress = RmStress((RmConstraint(w95, 1.1 * eval_rm(base, w95)),))
+        stressed = solve_rm(base, stress).stressed
+        rn_weights(samples, spec, stressed)
+        y = samples.Y
+        ref = np.interp(np.interp(y, base.q, base.u), stressed.u, stressed.q)
+        top, bottom = y > base.q[-1], y < base.q[0]
+        ref[top] = stressed.q[-1] + (y[top] - base.q[-1])
+        ref[bottom] = stressed.q[0] + (y[bottom] - base.q[0])
+        assert top.any() and bottom.any()
+        assert np.abs(moved[0] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestStressedCdf:

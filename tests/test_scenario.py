@@ -98,8 +98,6 @@ class TestGenerate:
 
     def test_invalid_configs(self):
         with pytest.raises(ValidationError):
-            SpatialConfig(theta_probs=(0.5, 0.5, 0.5))
-        with pytest.raises(ValidationError):
             SpatialConfig(locations=np.zeros((3, 2)))
 
 

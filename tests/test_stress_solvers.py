@@ -196,46 +196,9 @@ class TestSolveIntegral:
             lam_expected - 1.0, abs=1e-5
         )
 
-    def test_against_qp_oracle(self):
-        cvxpy = pytest.importorskip("cvxpy")
-        rng = np.random.default_rng(41)
-        n = 64
-        base = QuantileGrid(np.sort(rng.normal(size=n)))
-        u = midpoint_grid(n)
-        h1 = np.ones(n)
-        h2 = (u > 0.5).astype(float)
-        c1 = float(np.mean(base.q)) - 0.3
-        c2 = float(np.mean(h2 * base.q)) - 0.1
-        hq = np.ones(n)
-        cq = 0.95 * float(np.mean(base.q**2))
-        spec = IntegralStress(
-            linear=(
-                LinearConstraint(h=h1, bound=c1),
-                LinearConstraint(h=h2, bound=c2),
-            ),
-            quadratic=(QuadraticConstraint(h=hq, bound=cq),),
-        )
-        model = solve_integral(base, spec, tol=1e-9)
-
-        g = cvxpy.Variable(n)
-        constraints = [
-            cvxpy.diff(g) >= 0,
-            cvxpy.sum(cvxpy.multiply(h1, g)) / n <= c1,
-            cvxpy.sum(cvxpy.multiply(h2, g)) / n <= c2,
-            cvxpy.sum(cvxpy.multiply(hq, cvxpy.square(g))) / n <= cq,
-        ]
-        problem = cvxpy.Problem(
-            cvxpy.Minimize(cvxpy.sum_squares(g - base.q)), constraints
-        )
-        problem.solve(solver="CLARABEL")
-        ours = float(np.sum((model.stressed.q - base.q) ** 2))
-        # at least as close as the oracle's optimum, up to its own precision
-        assert ours <= problem.value + 1e-6
-        assert np.abs(model.stressed.q - g.value).max() <= 1e-4
-
     def test_against_slsqp_oracle(self):
-        # the QP of test_against_qp_oracle, solved by scipy's SLSQP, which
-        # runs offline; the objective is the mean squared gap, on the scale
+        # two linear bounds and one quadratic bound, solved as a QP by
+        # scipy's SLSQP; the objective is the mean squared gap, on the scale
         # of the constraints, so the line search converges whatever the
         # BLAS thread count
         optimize = pytest.importorskip("scipy.optimize")
@@ -593,14 +556,33 @@ class TestSolveCounts:
         assert model.evaluations == sum(searched)
 
     def test_binding_utility_alone_counts_its_search(self, lognormal_grid, monkeypatch):
-        # without risk measures there is no pre-solve: the floor check on the
-        # baseline is not counted once the floor binds
+        # without risk measures the pre-solve is the one floor check on the
+        # baseline, counted as on the slack branch
         searched = _record_searches(monkeypatch)
         u = HARAUtility(1.0, 5.0, 0.5)
         spec = UtilityRm(utility=u, floor=1.01 * expected_utility(lognormal_grid, u))
         model = solve_utility_rm(lognormal_grid, spec)
         assert model.multipliers[0] > 0.0
-        assert model.evaluations == sum(searched) and len(searched) == 1
+        assert model.evaluations == 1 + sum(searched) and len(searched) == 1
+
+    @pytest.mark.parametrize("zeta", [0.0, 1e-4])
+    def test_binding_utility_alone_counts_every_projection(self, lognormal_grid, zeta,
+                                                           monkeypatch):
+        # the smoothed floor check is one spav call; evaluations count it
+        calls = []
+
+        def counting_spav(*args, **kwargs):
+            calls.append(1)
+            return spav(*args, **kwargs)
+
+        monkeypatch.setattr(stress_solvers, "spav", counting_spav)
+        u = HARAUtility(1.0, 5.0, 0.5)
+        spec = UtilityRm(utility=u, floor=1.01 * expected_utility(lognormal_grid, u))
+        model = solve_utility_rm(lognormal_grid, spec, zeta=zeta)
+        assert model.multipliers[0] > 0.0
+        assert model.evaluations == 6
+        if zeta > 0.0:
+            assert len(calls) == model.evaluations
 
 
 class TestZetaValidation:
