@@ -28,7 +28,7 @@ from scipy.optimize import isotonic_regression
 
 from .errors import NotConvergedError, ValidationError
 
-__all__ = ["GridFunction", "as_weights", "pav", "spav", "project"]
+__all__ = ["GridFunction", "as_weights", "pav", "spav", "project", "projection_jacobian"]
 
 
 @dataclass(frozen=True)
@@ -177,20 +177,40 @@ def _solve_block_system(ends, v, w, pen):
     cwv = np.concatenate(([0.0], np.cumsum(w * v)))
     block_w = cw[ends] - cw[starts]
     rhs = cwv[ends] - cwv[starts]
-    m = block_w.size
-    if m == 1:
-        total = block_w[0]
-        if total > 0.0:
-            return np.array([rhs[0] / total])
-        return np.array([v.mean()])
-    boundary = pen[ends[:-1] - 1]
-    diag = block_w.copy()
-    diag[:-1] += boundary
-    diag[1:] += boundary
-    ab = np.zeros((2, m))
-    ab[0, 1:] = -boundary
-    ab[1] = diag
-    return solveh_banded(ab, rhs)
+    if block_w.size == 1:  # the weights are not all zero
+        return rhs / block_w
+    return solveh_banded(_block_banded(block_w, pen[ends[:-1] - 1]), rhs)
+
+
+def _block_banded(block_w, boundary):
+    """The block system in upper banded form: block weights plus boundary penalties."""
+    diag = block_w + np.append(boundary, 0.0) + np.append(0.0, boundary)
+    return np.vstack((np.append(0.0, -boundary), diag))
+
+
+def projection_jacobian(x, outputs, inputs, zeta: float = 0.0) -> np.ndarray:
+    """``outputs @ P @ inputs.T``, for the derivative ``P`` of the fit ``x``.
+
+    ``x`` is an unweighted :func:`spav` fit on the midpoint grid; rows are
+    directions.  With the blocks (runs of exact ties in ``x``) held fixed,
+    ``P = E A^-1 E.T`` for the block membership ``E`` and the block system
+    ``A``; at ``zeta = 0``, ``A`` is diagonal and only pooled cells move.
+    """
+    first = np.concatenate(([True], x[1:] != x[:-1]))
+    pooled = ~(first & np.append(first[1:], True))
+    cells = np.flatnonzero(pooled) if zeta == 0.0 else np.arange(x.size)
+    if cells.size == 0:
+        return outputs @ inputs.T
+    out, inp = outputs[:, cells], inputs[:, cells]
+    starts = np.flatnonzero(first[cells])
+    sizes = np.diff(np.append(starts, cells.size))
+    block_inp = np.add.reduceat(inp, starts, axis=1).T
+    if zeta == 0.0 or starts.size == 1:
+        solved = block_inp / sizes[:, None]
+    else:
+        boundary = np.full(starts.size - 1, zeta / (1.0 / x.size) ** 2)
+        solved = solveh_banded(_block_banded(sizes, boundary), block_inp)
+    return outputs @ inputs.T - out @ inp.T + np.add.reduceat(out, starts, axis=1) @ solved
 
 
 def _expand(ends, block_values):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +96,10 @@ class WeightSet:
     @property
     def n(self) -> int:
         return self.w.size
+
+    @cached_property
+    def sorted_w(self) -> np.ndarray:  # sorted once for every sensitivity
+        return np.sort(self.w)
 
 
 def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGrid) -> WeightSet:

@@ -64,7 +64,7 @@ def reverse_sensitivity(s_values, weights: WeightSet) -> SensitivityResult:
     s_mean = float(np.mean(s))
     numerator = float(np.mean(w * s)) - s_mean
     s_sorted = np.sort(s)
-    w_sorted = np.sort(w)
+    w_sorted = weights.sorted_w
     max_bound = float(np.mean(s_sorted * w_sorted)) - s_mean
     min_bound = float(np.mean(s_sorted * w_sorted[::-1])) - s_mean
     snap = 1e-12 * (abs(numerator) + abs(max_bound) + abs(min_bound))

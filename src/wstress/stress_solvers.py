@@ -14,16 +14,18 @@ Each family has a known solution shape: an isotonic projection of the
 baseline quantile plus multiplier-weighted constraint directions (scaled, or
 pushed through the inverse of x - lam * u'(x) for the utility family).  The
 multipliers are found by one damped Newton iteration on the constraint
-residuals with forward-difference Jacobians, falling back to coordinate-wise
-bisection at projection kinks.
+residuals, falling back to coordinate-wise bisection at projection kinks.
 
 The rm, mean/variance and utility families share one search path: each gives
 ``_search`` a map from multipliers to the stressed grid and one from that
 grid to the residuals; ``_search`` memoises the first, searches from zero
-and models the solution.  The integral family keeps its own search, on
-Robinson's normal map of its KKT conditions in free variables z: it starts
-the constraints the baseline meets as slack and keys its projection on
-max(z, 0), so a probe of a slack constraint reuses the current projection.
+and models the solution.  The rm and mean/variance families give it their
+exact Jacobian too (``isotonic.projection_jacobian``); the utility family
+takes forward differences.  The integral family keeps its own search, also
+on forward differences, on Robinson's normal map of its KKT conditions in
+free variables z: it starts the constraints the baseline meets as slack and
+keys its projection on max(z, 0), so a probe of a slack constraint reuses
+the current projection.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     UtilityDomainError,
     ValidationError,
 )
-from .isotonic import pav, spav
+from .isotonic import pav, projection_jacobian, spav
 from .risk_measures import (
     DistortionWeight,
     UtilitySpec,
@@ -217,14 +219,16 @@ def multiplier_search(
     tol: float = DEFAULT_TOL,
     max_iter: int = 200,
     lower=None,
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SearchResult:
     """Find multipliers driving a residual map to zero.
 
-    Damped Newton with a forward-difference Jacobian (step 1e-6 * (1+|lam|));
-    when the Jacobian is singular or the step fails to reduce the residual,
-    one coordinate-wise bisection sweep is used instead.  Residuals are
-    compared against ``tol`` after division by ``scale`` (default: ones).
-    ``lower`` optionally bounds multipliers from below (projected steps).
+    Damped Newton on the Jacobian ``jacobian(lam)``, or without one on
+    forward differences (step 1e-6 * (1+|lam|)); when the Jacobian is
+    singular or non-finite or the step fails to reduce the residual, one
+    coordinate-wise bisection sweep is used instead.  Residuals are compared
+    against ``tol`` after division by ``scale`` (default: ones).  ``lower``
+    optionally bounds multipliers from below (projected steps).
 
     Raises ``NotConvergedError`` with the best residuals seen if the budget
     of ``max_iter`` outer iterations is exhausted.
@@ -250,12 +254,15 @@ def multiplier_search(
             return SearchResult(lam, r * sc, evaluations)
         if norm < best_norm:
             best_norm, best = norm, (lam.copy(), r.copy())
-        jac = np.empty((d, d))
-        for k in range(d):
-            h = 1e-6 * (1.0 + abs(lam[k]))
-            probe = lam.copy()
-            probe[k] += h
-            jac[:, k] = (scaled(probe) - r) / h
+        if jacobian is not None:
+            jac = np.asarray(jacobian(lam), dtype=float) / sc[:, None]
+        else:
+            jac = np.empty((d, d))
+            for k in range(d):
+                h = 1e-6 * (1.0 + abs(lam[k]))
+                probe = lam.copy()
+                probe[k] += h
+                jac[:, k] = (scaled(probe) - r) / h
         step = None
         try:
             step = np.linalg.solve(jac, -r)
@@ -336,9 +343,10 @@ def _bisection_sweep(scaled, lam, r, lo, tol):
 def _projection_cache(builder):
     """Memoise ``builder`` on the multiplier vector's bytes.
 
-    Two entries hold the current iterate while a finite-difference probe is
-    evaluated, so a probe that maps back onto the iterate (a slack integral
-    constraint) does not rebuild it.
+    Two entries hold the current iterate while a finite-difference probe of
+    the utility or integral search is evaluated, so a probe that maps back
+    onto the iterate (a slack integral constraint) does not rebuild it, and
+    an exact Jacobian reads the iterate's grid without rebuilding it.
     """
     cached = functools.lru_cache(maxsize=2)(lambda key: builder(np.frombuffer(key)))
     return lambda lam: cached(np.asarray(lam, dtype=float).tobytes())
@@ -384,15 +392,18 @@ def _rm_arrays(baseline, constraints):
 
 
 def _search(baseline, build, residual, d, scale, names, zeta, tol, max_iter,
-            lower=None, spent=0):
+            lower=None, spent=0, jacobian=None):
     """Find ``d`` multipliers, from zeros, with ``residual(build(lam)) = 0``.
 
     ``build`` maps multipliers to the stressed grid and is memoised, so the
-    solution is not rebuilt; ``spent`` counts the evaluations of a pre-solve.
+    solution is not rebuilt and ``jacobian(lam, stressed)``, if given, reads
+    it; ``spent`` counts the evaluations of a pre-solve.
     """
     stressed_for = _projection_cache(build)
+    exact = None if jacobian is None else (lambda lam: jacobian(lam, stressed_for(lam)))
     result = multiplier_search(lambda lam: residual(stressed_for(lam)), np.zeros(d),
-                               scale=scale, tol=tol, max_iter=max_iter, lower=lower)
+                               scale=scale, tol=tol, max_iter=max_iter, lower=lower,
+                               jacobian=exact)
     return _model(
         baseline, stressed_for(result.multipliers), result.multipliers,
         result.residuals, names, zeta, spent + result.evaluations,
@@ -418,6 +429,7 @@ def solve_rm(
         lambda lam: _isotonic(baseline.q + gammas.T @ lam, zeta=zeta),
         lambda qs: qs @ gammas.T / baseline.n - targets,
         len(targets), _target_scale(targets), names, zeta, tol, max_iter,
+        jacobian=lambda lam, qs: projection_jacobian(qs, gammas, gammas, zeta) / baseline.n,
     )
 
 
@@ -465,12 +477,20 @@ def solve_mean_var_rm(
     """
     gammas, rm_targets, rm_names = _rm_arrays(baseline, spec.constraints)
 
-    def build(lam):
+    def reshaped(lam):
         denom = 1.0 + lam[1]
         if abs(denom) < _SCALE_GUARD:
             denom = _SCALE_GUARD if denom >= 0.0 else -_SCALE_GUARD
         ell = baseline.q + lam[0] + lam[1] * spec.mean + gammas.T @ lam[2:]
-        return _isotonic(ell / denom, zeta=zeta)
+        return ell / denom, denom
+
+    def jacobian(lam, qs):
+        # chain rule through ell / denom; a clamped denom does not move
+        ell, denom = reshaped(lam)
+        dell = np.vstack((np.ones(ell.size), spec.mean - ell * (denom == 1.0 + lam[1]), gammas))
+        centred = qs - np.mean(qs)
+        rows = np.vstack((np.ones(ell.size), centred / np.sqrt(np.mean(centred**2)), gammas))
+        return projection_jacobian(qs, rows, dell / denom, zeta) / baseline.n
 
     def residual(qs):
         m, sd = float(np.mean(qs)), float(np.sqrt(np.mean((qs - np.mean(qs)) ** 2)))
@@ -479,9 +499,9 @@ def solve_mean_var_rm(
 
     targets = np.concatenate(([spec.mean, spec.sd], rm_targets))
     model = _search(
-        baseline, build, residual, len(targets),
+        baseline, lambda lam: _isotonic(reshaped(lam)[0], zeta=zeta), residual, len(targets),
         np.maximum(_target_scale(targets), spec.sd), ["mean", "sd", *rm_names],
-        zeta, tol, max_iter,
+        zeta, tol, max_iter, jacobian=jacobian,
     )
     if abs(1.0 + model.multipliers[1]) < _SCALE_GUARD:
         raise NotConvergedError(

@@ -289,6 +289,54 @@ class TestSpavProperties:
         assert_smoothed_isotonic_kkt(v, x, w, zeta / np.diff(u) ** 2)
 
 
+def _tie_runs(x):
+    """Indices where a fit increases: the block boundaries it was built on."""
+    return np.flatnonzero(x[1:] != x[:-1])
+
+
+class TestProjectionJacobian:
+    @pytest.mark.parametrize("zeta", [0.0, 1e-5, 1e-4])
+    def test_matches_central_differences(self, zeta):
+        # noisy data with pooled blocks; the probes are small enough to keep
+        # every block, where the projection is linear in its input
+        rng = np.random.default_rng(13)
+        n = 64
+        v = np.sort(rng.normal(size=n)) + 0.5 * np.sin(np.arange(n))
+        x = spav(v, zeta=zeta)
+        assert 2 < _tie_runs(x).size < n - 1
+        inputs, outputs = rng.normal(size=(2, n)), rng.normal(size=(3, n))
+        h = 1e-6
+        columns = []
+        for direction in inputs:
+            up, down = spav(v + h * direction, zeta=zeta), spav(v - h * direction, zeta=zeta)
+            assert np.array_equal(_tie_runs(up), _tie_runs(x))
+            assert np.array_equal(_tie_runs(down), _tie_runs(x))
+            columns.append(outputs @ (up - down) / (2.0 * h))
+        jac = isotonic.projection_jacobian(x, outputs, inputs, zeta)
+        np.testing.assert_allclose(jac, np.column_stack(columns), rtol=0.0,
+                                   atol=1e-7 * np.abs(jac).max())
+
+    def test_block_means_and_identity_at_zero_smoothing(self):
+        rng = np.random.default_rng(5)
+        inputs, outputs = rng.normal(size=(2, 6)), rng.normal(size=(1, 6))
+        increasing = np.arange(6.0)
+        np.testing.assert_allclose(isotonic.projection_jacobian(increasing, outputs, inputs),
+                                   outputs @ inputs.T, rtol=1e-14)
+        # blocks {0}, {1, 2, 3}, {4, 5}
+        x = np.array([0.0, 1.0, 1.0, 1.0, 2.0, 2.0])
+        averaging = np.zeros((6, 6))
+        averaging[0, 0] = 1.0
+        averaging[1:4, 1:4] = 1.0 / 3.0
+        averaging[4:, 4:] = 0.5
+        np.testing.assert_allclose(isotonic.projection_jacobian(x, outputs, inputs),
+                                   outputs @ averaging @ inputs.T, rtol=1e-12)
+
+    def test_one_smoothed_block_is_its_mean(self):
+        inputs = np.arange(5.0)[None, :]
+        jac = isotonic.projection_jacobian(np.ones(5), np.ones((1, 5)), inputs, zeta=1e-3)
+        np.testing.assert_allclose(jac, [[inputs.sum()]], rtol=1e-14)
+
+
 class TestProject:
     def test_monotone_function_unchanged(self):
         u = (np.arange(8) + 0.5) / 8

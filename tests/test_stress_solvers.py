@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import optimize
 
 from conftest import uniform_grid
 from wstress.distributions import (
@@ -22,6 +23,7 @@ from wstress.risk_measures import (
     eval_rm,
     expected_utility,
     mean_sd,
+    rvar_weight,
     var,
     var_plus,
 )
@@ -45,7 +47,71 @@ from wstress.stress_solvers import (
 )
 
 
+def _slsqp_nearest(base, equalities):
+    """The nondecreasing grid nearest ``base`` under equality constraints, by SLSQP.
+
+    ``equalities`` are (function, gradient) pairs.  The objective is the mean
+    squared gap, on the scale of the constraints, so the line search
+    converges whatever the BLAS thread count.
+    """
+    n = base.n
+    diff = np.diff(np.eye(n), axis=0)
+    constraints = [{"type": "ineq", "fun": lambda g: diff @ g, "jac": lambda g: diff}]
+    constraints += [{"type": "eq", "fun": f, "jac": j} for f, j in equalities]
+    oracle = optimize.minimize(
+        lambda g: float(np.mean((g - base.q) ** 2)),
+        base.q,
+        jac=lambda g: 2.0 * (g - base.q) / n,
+        constraints=constraints,
+        method="SLSQP",
+        options={"ftol": 1e-14, "maxiter": 1000},
+    )
+    assert oracle.success, oracle.message
+    return oracle
+
+
+def _rm_equalities(constraints):
+    return [(lambda g, c=c: c.weight.values @ g / g.size - c.target,
+             lambda g, c=c: c.weight.values / g.size) for c in constraints]
+
+
+def _assert_matches_oracle(base, model, oracle):
+    ours = float(np.mean((model.stressed.q - base.q) ** 2))
+    assert ours <= oracle.fun + 1e-12
+    assert np.abs(model.stressed.q - oracle.x).max() <= 1e-8
+
+
 class TestSolveRm:
+    @pytest.mark.parametrize("weights_bumps", [
+        [(es_weight(0.9, 64), 0.05)],
+        [(es_weight(0.8, 64), -0.04)],
+        [(es_weight(0.5, 64), 0.02), (es_weight(0.9, 64), -0.03)],
+        [(es_weight(0.5, 64), 0.0), (rvar_weight(0.6, 0.9, 64), 0.03),
+         (es_weight(0.95, 64), -0.02)],
+    ])
+    def test_against_slsqp_oracle(self, weights_bumps):
+        base = discretize(Lognormal(7.0 / 8.0, 0.5), 64)
+        constraints = tuple(RmConstraint(w, (1.0 + b) * eval_rm(base, w))
+                            for w, b in weights_bumps)
+        model = solve_rm(base, RmStress(constraints), tol=1e-10)
+        _assert_matches_oracle(base, model, _slsqp_nearest(base, _rm_equalities(constraints)))
+
+    @pytest.mark.parametrize("bump", [0.05, -0.03])
+    def test_smoothed_solution_is_a_fixed_point(self, lognormal_grid, bump):
+        # the stressed grid is spav of the baseline moved along the weights
+        zeta = 1e-4
+        w80, w95 = es_weight(0.8, 4096), es_weight(0.95, 4096)
+        constraints = (RmConstraint(w80, eval_rm(lognormal_grid, w80)),
+                       RmConstraint(w95, (1.0 + bump) * eval_rm(lognormal_grid, w95)))
+        model = solve_rm(lognormal_grid, RmStress(constraints), zeta=zeta)
+        gammas = np.vstack([w80.values, w95.values])
+        rebuilt = spav(lognormal_grid.q + gammas.T @ model.multipliers, zeta=zeta)
+        q = model.stressed.q
+        assert np.abs(q - rebuilt).max() <= 4 * np.spacing(np.abs(q).max())
+        for c in constraints:
+            achieved = eval_rm(model.stressed, c.weight)
+            assert abs(achieved - c.target) <= 1e-6 * max(1.0, abs(c.target))
+
     def test_baseline_already_feasible(self, lognormal_grid):
         w = es_weight(0.9, 4096)
         spec = RmStress((RmConstraint(w, eval_rm(lognormal_grid, w)),))
@@ -143,6 +209,43 @@ class TestSolveMeanVarRm:
         left = np.median(curve.f[(curve.y > 5.35) & (curve.y < 5.65)])
         right = np.median(curve.f[(curve.y > 5.85) & (curve.y < 6.10)])
         assert right < 0.5 * left  # the density steps down inside (5.5, 6.1)
+
+    def test_against_slsqp_oracle(self):
+        base = discretize(Lognormal(7.0 / 8.0, 0.5), 64)
+        m, sd = mean_sd(base)
+        w = es_weight(0.9, 64)
+        spec = MeanVarRm(mean=m, sd=1.1 * sd,
+                         constraints=(RmConstraint(w, 1.02 * eval_rm(base, w)),))
+        model = solve_mean_var_rm(base, spec, tol=1e-10)
+
+        def spread(g):
+            return np.sqrt(np.mean((g - np.mean(g)) ** 2))
+
+        equalities = [
+            (lambda g: np.mean(g) - spec.mean, lambda g: np.full(g.size, 1.0 / g.size)),
+            (lambda g: spread(g) - spec.sd,
+             lambda g: (g - np.mean(g)) / (g.size * spread(g))),
+            *_rm_equalities(spec.constraints),
+        ]
+        _assert_matches_oracle(base, model, _slsqp_nearest(base, equalities))
+
+    def test_smoothed_solution_is_a_fixed_point(self, lognormal_grid):
+        # the stressed grid is spav of the affine reshaping the multipliers give
+        zeta = 1e-4
+        m, sd = mean_sd(lognormal_grid)
+        w = es_weight(0.95, 4096)
+        spec = MeanVarRm(mean=m, sd=1.1 * sd,
+                         constraints=(RmConstraint(w, 1.05 * eval_rm(lognormal_grid, w)),))
+        model = solve_mean_var_rm(lognormal_grid, spec, zeta=zeta)
+        lam = model.multipliers
+        reshaped = lognormal_grid.q + lam[0] + lam[1] * m + lam[2] * w.values
+        rebuilt = spav(reshaped / (1.0 + lam[1]), zeta=zeta)
+        q = model.stressed.q
+        assert np.abs(q - rebuilt).max() <= 4 * np.spacing(np.abs(q).max())
+        achieved = [*mean_sd(model.stressed), eval_rm(model.stressed, w)]
+        targets = [spec.mean, spec.sd, spec.constraints[0].target]
+        for value, target in zip(achieved, targets):
+            assert abs(value - target) <= 1e-6 * max(1.0, abs(target), spec.sd)
 
     def test_infeasible_spread_reports(self, lognormal_grid):
         m, sd = mean_sd(lognormal_grid)
@@ -478,6 +581,39 @@ class TestMultiplierSearch:
         assert err.value.residuals is not None
 
 
+    def test_exact_jacobian_solves_a_linear_map_in_one_step(self):
+        matrix = np.array([[2.0, 1.0], [0.5, 3.0]])
+        target = np.array([1.0, -2.0])
+        result = multiplier_search(lambda lam: matrix @ lam - target, np.zeros(2),
+                                   tol=1e-12, jacobian=lambda lam: matrix)
+        assert result.evaluations == 2  # the start and the one Newton step
+        np.testing.assert_allclose(result.multipliers, np.linalg.solve(matrix, target),
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf])
+    def test_singular_or_non_finite_jacobian_falls_back_to_bisection(self, bad, monkeypatch):
+        sweeps = []
+        bisection = stress_solvers._bisection_sweep
+
+        def recording_sweep(*args):
+            sweeps.append(1)
+            return bisection(*args)
+
+        monkeypatch.setattr(stress_solvers, "_bisection_sweep", recording_sweep)
+        result = multiplier_search(lambda lam: lam**3 - 8.0, np.zeros(1), tol=1e-9,
+                                   jacobian=lambda lam: np.array([[bad]]))
+        assert sweeps
+        assert abs(result.multipliers[0] - 2.0) <= 1e-9
+
+    def test_budget_exhaustion_with_a_jacobian_reports_the_best_residuals(self):
+        # the Jacobian 2 lam vanishes at the start, which is also the best point
+        with pytest.raises(NotConvergedError) as err:
+            multiplier_search(lambda lam: np.array([1.0 + lam[0] ** 2]), np.zeros(1),
+                              max_iter=5, jacobian=lambda lam: np.array([[2.0 * lam[0]]]))
+        np.testing.assert_array_equal(err.value.residuals, [1.0])
+        np.testing.assert_array_equal(err.value.multipliers, [0.0])
+
+
 class TestSmoothedSolves:
     def test_constraints_hold_with_smoothing(self, lognormal_grid):
         w = es_weight(0.9, 4096)
@@ -583,6 +719,33 @@ class TestSolveCounts:
         assert model.evaluations == 6
         if zeta > 0.0:
             assert len(calls) == model.evaluations
+
+
+    @pytest.mark.parametrize("family", ["rm", "mean_var_rm"])
+    def test_smoothed_search_takes_no_difference_probes(self, lognormal_grid, family,
+                                                       monkeypatch):
+        # the exact Jacobian is read off the current grid, so every spav call
+        # is the start or a Newton step: 3 and 4 of them, where forward
+        # differences took 7 and 13
+        calls = []
+
+        def counting_spav(*args, **kwargs):
+            calls.append(1)
+            return spav(*args, **kwargs)
+
+        monkeypatch.setattr(stress_solvers, "spav", counting_spav)
+        w80, w95 = es_weight(0.8, 4096), es_weight(0.95, 4096)
+        es95 = RmConstraint(w95, 1.05 * eval_rm(lognormal_grid, w95))
+        if family == "rm":
+            spec = RmStress((RmConstraint(w80, eval_rm(lognormal_grid, w80)), es95))
+            expected = 3
+        else:
+            m, sd = mean_sd(lognormal_grid)
+            spec = MeanVarRm(mean=m, sd=1.1 * sd, constraints=(es95,))
+            expected = 4
+        model = solve(lognormal_grid, spec, zeta=1e-4)
+        assert model.evaluations == expected
+        assert len(calls) == model.evaluations
 
 
 class TestZetaValidation:
