@@ -559,7 +559,7 @@ def run_sensitivity(config: dict) -> tuple[int, str]:
           joint_tail_indicator_s(samples.column(a), samples.column(b), pair_alpha))
          for a, b in pairs),
     )
-    results = [(target, tag, [reverse_sensitivity(s, w) for w in weight_sets.values()])
+    results = [(target, tag, reverse_sensitivity(s, list(weight_sets.values())))
                for target, tag, s in s_vectors]
     for k, name in enumerate(weight_sets):
         for target, tag, per_stress in results:

@@ -44,7 +44,9 @@ class SensitivityResult:
     min_bound: float
 
 
-def reverse_sensitivity(s_values, weights: WeightSet) -> SensitivityResult:
+def reverse_sensitivity(
+    s_values, weights: WeightSet | Sequence[WeightSet]
+) -> SensitivityResult | list[SensitivityResult]:
     """Normalised change of mean(s) under the reweighting, in [-1, 1].
 
     The numerator is mean(w * s) - mean(s).  The upper bound pairs the
@@ -54,16 +56,27 @@ def reverse_sensitivity(s_values, weights: WeightSet) -> SensitivityResult:
     negative one by the (negative) lower bound with a sign flip, and
     0/0 reports 0.  Ties in s may be ordered arbitrarily by the sort: every
     tie order yields the same bound value.
+
+    ``weights`` is one weight set or a list or tuple of them; the sequence
+    form returns a list with one result per entry, each equal to the
+    one-set call, and sorts s once.
     """
     s = np.asarray(s_values, dtype=float)
-    if s.ndim != 1 or s.size != weights.n:
+    many = isinstance(weights, (list, tuple))
+    sets = weights if many else [weights]
+    if s.ndim != 1 or any(s.size != wset.n for wset in sets):
         raise ValidationError("s-values and weights must be equally long vectors")
     if not np.isfinite(s).all():
         raise ValidationError("s-values contain non-finite entries")
-    w = weights.w
     s_mean = float(np.mean(s))
-    numerator = float(np.mean(w * s)) - s_mean
     s_sorted = np.sort(s)
+    results = [_sensitivity_sorted(s, s_mean, s_sorted, wset) for wset in sets]
+    return results if many else results[0]
+
+
+def _sensitivity_sorted(s, s_mean, s_sorted, weights: WeightSet) -> SensitivityResult:
+    """One reverse sensitivity from s, its mean and its ascending sort."""
+    numerator = float(np.mean(weights.w * s)) - s_mean
     w_sorted = weights.sorted_w
     max_bound = float(np.mean(s_sorted * w_sorted)) - s_mean
     min_bound = float(np.mean(s_sorted * w_sorted[::-1])) - s_mean
@@ -77,12 +90,7 @@ def reverse_sensitivity(s_values, weights: WeightSet) -> SensitivityResult:
     else:
         value = -1.0 if numerator <= min_bound + snap else -(numerator / min_bound)
     value = float(np.clip(value, -1.0, 1.0))
-    return SensitivityResult(
-        value=value,
-        numerator=numerator,
-        max_bound=max_bound,
-        min_bound=min_bound,
-    )
+    return SensitivityResult(value, numerator, max_bound, min_bound)
 
 
 def bivariate_reverse_sensitivity(s_values, weights: WeightSet) -> SensitivityResult:

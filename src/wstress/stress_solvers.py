@@ -16,22 +16,20 @@ pushed through the inverse of x - lam * u'(x) for the utility family).  The
 multipliers are found by one damped Newton iteration on the constraint
 residuals, falling back to coordinate-wise bisection at projection kinks.
 
-The rm, mean/variance and utility families share one search path: each gives
-``_search`` a map from multipliers to the stressed grid and one from that
-grid to the residuals; ``_search`` memoises the first, searches from zero
-and models the solution.  The rm and mean/variance families give it their
-exact Jacobian too (``isotonic.projection_jacobian``); the utility family
-takes forward differences.  The integral family keeps its own search, also
-on forward differences, on Robinson's normal map of its KKT conditions in
-free variables z: it starts the constraints the baseline meets as slack and
-keys its projection on max(z, 0), so a probe of a slack constraint reuses
-the current projection.
+Every searched family shares one search path: each gives ``_search`` a map
+from multipliers to the stressed grid and one from that grid to the
+residuals; ``_search`` memoises the first, searches and models the solution.
+The rm and mean/variance families give it their exact Jacobian too
+(``isotonic.projection_jacobian``); the utility and integral families take
+forward differences.  The integral family's upper bounds go through
+``_search``'s normal map (Robinson 1992), which keeps their multipliers
+nonnegative and starts the bounds the baseline meets as slack.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Union
 
 import numpy as np
@@ -361,8 +359,7 @@ def _target_scale(targets):
     return np.maximum(1.0, np.abs(np.asarray(targets, dtype=float)))
 
 
-def _model(baseline, stressed_q, multipliers, residuals, names, zeta, evaluations,
-           multipliers_quadratic=()):
+def _model(baseline, stressed_q, multipliers, residuals, names, zeta, evaluations):
     stressed = QuantileGrid(stressed_q)
     return StressedModel(
         baseline=baseline,
@@ -372,7 +369,6 @@ def _model(baseline, stressed_q, multipliers, residuals, names, zeta, evaluation
         constraint_names=tuple(names),
         w2=wasserstein2(baseline, stressed),
         zeta=zeta,
-        multipliers_quadratic=np.atleast_1d(np.asarray(multipliers_quadratic, dtype=float)),
         evaluations=evaluations,
     )
 
@@ -392,22 +388,43 @@ def _rm_arrays(baseline, constraints):
 
 
 def _search(baseline, build, residual, d, scale, names, zeta, tol, max_iter,
-            lower=None, spent=0, jacobian=None):
-    """Find ``d`` multipliers, from zeros, with ``residual(build(lam)) = 0``.
+            lower=None, spent=0, jacobian=None, upper=0):
+    """Find ``d`` multipliers with ``residual(build(lam)) = 0``.
 
     ``build`` maps multipliers to the stressed grid and is memoised, so the
     solution is not rebuilt and ``jacobian(lam, stressed)``, if given, reads
-    it; ``spent`` counts the evaluations of a pre-solve.
+    it; ``spent`` counts the evaluations of a pre-solve.  The first ``upper``
+    residuals are upper bounds (met when <= 0) with multipliers >= 0, solved
+    as the zero of Robinson's normal map in free variables z: lam = max(z, 0)
+    and F(z) = residual - min(z, 0), so a bound with z <= 0 is slack by -z.
+    Their search starts at z = min(F(0), 0), one counted evaluation, so the
+    bounds the unstressed projection meets start slack and their probes reuse
+    the memoised iterate.  The rest start at 0.  ``jacobian`` is in lam, not z,
+    so it serves searches without upper bounds.
     """
+    bounded = np.arange(d) < upper
     stressed_for = _projection_cache(build)
+
+    def lam_of(z):
+        return np.where(bounded, np.maximum(z, 0.0), z) if upper else z
+
+    def normal_map(z):
+        r = residual(stressed_for(lam_of(z)))
+        return r - np.where(bounded, np.minimum(z, 0.0), 0.0) if upper else r
+
+    start = np.zeros(d)
+    if upper:
+        start, spent = np.where(bounded, np.minimum(normal_map(start), 0.0), 0.0), spent + 1
     exact = None if jacobian is None else (lambda lam: jacobian(lam, stressed_for(lam)))
-    result = multiplier_search(lambda lam: residual(stressed_for(lam)), np.zeros(d),
-                               scale=scale, tol=tol, max_iter=max_iter, lower=lower,
-                               jacobian=exact)
-    return _model(
-        baseline, stressed_for(result.multipliers), result.multipliers,
-        result.residuals, names, zeta, spent + result.evaluations,
-    )
+    try:
+        result = multiplier_search(normal_map, start, scale=scale, tol=tol,
+                                   max_iter=max_iter, lower=lower, jacobian=exact)
+    except NotConvergedError as exc:
+        raise NotConvergedError(str(exc), residuals=exc.residuals,
+                                multipliers=lam_of(exc.multipliers)) from exc
+    lam = lam_of(result.multipliers)
+    return _model(baseline, stressed_for(lam), lam, result.residuals, names, zeta,
+                  spent + result.evaluations)
 
 
 def solve_rm(
@@ -525,12 +542,8 @@ def solve_integral(
     projection weights Lambda; multipliers enter with a minus sign in the
     numerator so that the KKT multipliers of the upper-bound constraints are
     nonnegative.  The problem is a strictly convex QP, so its KKT conditions
-    (lam >= 0, achieved <= bound, complementarity) have one solution, found
-    as the zero of Robinson's normal map in free variables z:
-    lam = max(z, 0) and F(z) = achieved(lam) - bound - min(z, 0).  A
-    constraint with z > 0 binds; one with z <= 0 is slack by -z.  The search
-    starts at z = min(F(0), 0), so constraints the baseline already meets
-    start slack.
+    (lam >= 0, achieved <= bound, complementarity) have one solution, which
+    ``_search`` finds on its normal map with every constraint an upper bound.
     """
     lin_h = _rows([c.h for c in spec.linear], baseline.n, "constraint function")
     quad_h = _rows([c.h for c in spec.quadratic], baseline.n, "constraint function")
@@ -542,35 +555,13 @@ def solve_integral(
         weights = np.maximum(1.0 + quad_h.T @ lam[d:], 1e-9)
         return pav((baseline.q - lin_h.T @ lam[:d]) / weights, weights)
 
-    stressed_for = _projection_cache(build)
+    def residual(qs):
+        return np.concatenate((lin_h @ qs, quad_h @ qs**2)) / baseline.n - bounds
 
-    def achieved(lam):
-        qs = stressed_for(lam)
-        return np.concatenate((lin_h @ qs, quad_h @ qs**2)) / baseline.n
-
-    def normal_map(z):
-        return achieved(np.maximum(z, 0.0)) - bounds - np.minimum(z, 0.0)
-
-    try:
-        result = multiplier_search(
-            normal_map,
-            np.minimum(achieved(np.zeros(bounds.size)) - bounds, 0.0),
-            scale=_target_scale(bounds),
-            tol=tol,
-            max_iter=max_iter,
-        )
-    except NotConvergedError as exc:
-        raise NotConvergedError(
-            f"integral constraints: {exc}",
-            residuals=exc.residuals,
-            multipliers=np.maximum(exc.multipliers, 0.0),
-        ) from exc
-    lam = np.maximum(result.multipliers, 0.0)
-    return _model(
-        baseline, stressed_for(lam), lam[:d], result.residuals,
-        [c.name for c in constraints], 0.0, 1 + result.evaluations,
-        multipliers_quadratic=lam[d:],
-    )
+    model = _search(baseline, build, residual, bounds.size, _target_scale(bounds),
+                    [c.name for c in constraints], 0.0, tol, max_iter, upper=bounds.size)
+    return replace(model, multipliers=model.multipliers[:d],
+                   multipliers_quadratic=model.multipliers[d:])
 
 
 def solve_var(baseline: QuantileGrid, spec: VarStress) -> StressedModel:

@@ -138,6 +138,37 @@ def assert_smoothed_isotonic_kkt(values, x, weights=None, penalties=None, rtol=1
     assert slack <= tol, f"complementarity violated: {slack:.3g} > {tol:.3g}"
 
 
+def assert_integral_kkt(baseline_q, spec, model, tol):
+    """KKT certificate of ``model`` as the solution of the integral stress ``spec``.
+
+    The QP is ``min mean (x - q)**2`` over nondecreasing ``x`` subject to
+    ``mean(h_k * x) <= c_k`` and ``mean(g_l * x**2) <= d_l``.  With
+    multipliers ``lam, mu >= 0`` its stationarity condition says ``x`` is the
+    isotonic regression of ``(q - sum lam_k h_k) / L`` with weights
+    ``L = 1 + sum mu_l g_l``, computed here by ``pav_loop_blocks``.  Every
+    bound must hold to ``tol * max(1, |bound|)``, and bind to the same
+    tolerance where its multiplier is positive.
+    """
+    q = np.asarray(baseline_q, dtype=float)
+    x = model.stressed.q
+    lam, mu = model.multipliers, model.multipliers_quadratic
+    assert lam.shape == (len(spec.linear),) and mu.shape == (len(spec.quadratic),)
+    assert float(np.min(lam, initial=0.0)) >= 0.0 and float(np.min(mu, initial=0.0)) >= 0.0
+    achieved = np.asarray([np.mean(c.h * x) for c in spec.linear]
+                          + [np.mean(c.h * x**2) for c in spec.quadratic])
+    bounds = np.asarray([c.bound for c in (*spec.linear, *spec.quadratic)])
+    scale = tol * np.maximum(1.0, np.abs(bounds))
+    gap = achieved - bounds
+    assert np.all(gap <= scale), f"bound violated by {gap.max():.3g}"
+    binding = np.concatenate((lam, mu)) > 0.0
+    assert np.all(np.abs(gap[binding]) <= scale[binding]), "complementarity violated"
+    weights = 1.0 + sum((mu_l * c.h for mu_l, c in zip(mu, spec.quadratic)), np.zeros(q.size))
+    shifted = q - sum((lam_k * c.h for lam_k, c in zip(lam, spec.linear)), np.zeros(q.size))
+    ends, means = pav_loop_blocks(shifted / weights, weights)
+    fit = np.repeat(means, np.diff(ends, prepend=0))
+    np.testing.assert_allclose(x, fit, rtol=1e-12, atol=1e-12 * float(np.abs(q).max()))
+
+
 def uniform_grid(n=4096):
     """Quantile grid of the standard uniform distribution."""
     return QuantileGrid(midpoint_grid(n))

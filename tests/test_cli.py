@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wstress import cli
+from wstress.distributions import Lognormal, discretize
 from wstress.cli import (
     EXIT_NO_SOLUTION,
     EXIT_NOT_CONVERGED,
@@ -154,6 +155,52 @@ class TestStressCommand:
         cols = read_csv_columns(tmp_path / "out" / "identity_weights.csv")
         central = (y > np.quantile(y, 0.01)) & (y < np.quantile(y, 0.99))
         assert np.abs(cols["weight"][central] - 1.0).max() <= 0.02
+
+
+    def test_integral_and_utility_stresses(self, tmp_path):
+        grid = discretize(Lognormal(mu=0.875, sigma=0.5), 1024)
+        tail_mean = float(np.mean((grid.u > 0.9) * grid.q))
+        config = {
+            "out": str(tmp_path / "out"),
+            "grid_n": 1024,
+            "baseline": {"kind": "lognormal", "mu": 0.875, "sigma": 0.5},
+            "stresses": [
+                {
+                    "name": "bands",
+                    "kind": "integral",
+                    "linear": [
+                        {"h": "const", "bump": -0.02},
+                        {"h": "upper_indicator", "alpha": 0.9, "target": 0.97 * tail_mean,
+                         "name": "tail_mean"},
+                    ],
+                    "quadratic": [{"h": "lower_indicator", "alpha": 0.3, "bump": -0.15}],
+                },
+                {
+                    "name": "floor",
+                    "kind": "utility_rm",
+                    "utility": {"a": 1.0, "b": 5.0, "eta": 0.5},
+                    "floor": {"bump": 0.01},
+                    "constraints": [{"gamma": "es", "alpha": 0.95, "bump": 0.03}],
+                },
+            ],
+        }
+        cfg = write_config(tmp_path, config)
+        assert main(["stress", str(cfg)]) == EXIT_OK
+        out = tmp_path / "out"
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        summary = first["summary.txt"].decode()
+        bands, floor = summary.split("[stress floor]")
+        residuals = {line.split(":")[0]: float(line.split("=")[1])
+                     for line in summary.splitlines() if line.startswith("constraint ")}
+        assert set(residuals) == {"constraint linear0", "constraint tail_mean",
+                                  "constraint quadratic0", "constraint utility",
+                                  "constraint es(0.95,)"}
+        assert all(abs(r) <= 1e-6 * 10 for r in residuals.values())
+        assert "multipliers_quadratic = [" in bands and "multipliers_quadratic" not in floor
+        lines = dict(line.split(" = ") for line in summary.splitlines() if " = " in line)
+        assert float(lines["multipliers_quadratic"].strip("[]")) > 0.0
+        assert main(["stress", str(cfg)]) == EXIT_OK
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == first
 
 
 class TestSimulateCommand:
@@ -342,9 +389,10 @@ class TestSensitivityCommand:
         )
         cfg = write_config(tmp_path, config)
         assert main(["sensitivity", str(cfg)]) == EXIT_OK
-        # one vector per input and s-function, and per pair; each reweighted twice
+        # one vector per input and s-function, and per pair; each reweighted by
+        # both stresses in one call
         assert calls == {"power_s": 10, "tail_indicator_s": 10, "joint_tail_indicator_s": 2,
-                         "reverse_sensitivity": 2 * (10 * 3 + 2)}
+                         "reverse_sensitivity": 10 * 3 + 2}
         rows = list(csv.reader(
             l for l in (tmp_path / "out" / "sensitivity.csv").read_text().splitlines()
             if not l.startswith("#")

@@ -82,6 +82,26 @@ class TestReverseSensitivity:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             reverse_sensitivity(np.ones(3), weights_from(np.ones(4)))
+        with pytest.raises(ValidationError):
+            reverse_sensitivity(np.ones(3), [weights_from(np.ones(3)), weights_from(np.ones(4))])
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_sequence_of_weight_sets_matches_one_call_each(self, container, monkeypatch):
+        rng = np.random.default_rng(23)
+        s = rng.normal(size=300)
+        sets = [weights_from(np.exp(k * s) + rng.uniform(0.0, 0.1, size=300))
+                for k in (-0.5, 0.0, 0.3)]
+        singles = [reverse_sensitivity(s, w) for w in sets]
+        sorts = []
+        original_sort = np.sort
+
+        def counting_sort(*args, **kwargs):
+            sorts.append(1)
+            return original_sort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", counting_sort)
+        assert reverse_sensitivity(s, container(sets)) == singles  # bit for bit
+        assert len(sorts) == 1  # s once; the weights were sorted by the single calls
 
 
 class TestBivariate:

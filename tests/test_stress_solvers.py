@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
-from conftest import uniform_grid
+from conftest import assert_integral_kkt, uniform_grid
 from wstress.distributions import (
     Lognormal,
     QuantileGrid,
@@ -17,6 +19,7 @@ from wstress.errors import NoSolutionError, NotConvergedError, ValidationError
 from wstress import stress_solvers
 from wstress.isotonic import pav, spav
 from wstress.risk_measures import (
+    CustomUtility,
     HARAUtility,
     alpha_beta_weight,
     es_weight,
@@ -253,6 +256,36 @@ class TestSolveMeanVarRm:
             MeanVarRm(mean=m, sd=-1.0)
 
 
+_KKT_BASELINE = discretize(Lognormal(mu=0.875, sigma=0.5), 512)
+
+
+@st.composite
+def integral_stresses(draw):
+    """One to four bounds on disjoint probability bands of ``_KKT_BASELINE``.
+
+    Each bound is linear or quadratic and moves its band's baseline value by
+    a bump in [-8%, +4%]; a positive bump leaves the bound slack.  Scaling
+    the baseline by 0.9 meets every such bound, so each stress is feasible.
+    """
+    q = _KKT_BASELINE.q
+    u = midpoint_grid(q.size)
+    slots = draw(st.integers(1, 4))
+    linear, quadratic = [], []
+    for j in range(slots):
+        width = 0.96 / slots
+        start = 0.02 + j * width + draw(st.floats(0.0, 0.5)) * width
+        h = ((u > start) & (u <= start + draw(st.floats(0.1, 0.5)) * width)).astype(float)
+        h *= draw(st.floats(0.5, 2.0))
+        bump = draw(st.floats(-0.08, 0.04))
+        if draw(st.booleans()):
+            linear.append(LinearConstraint(h=h, bound=float(np.mean(h * q)) * (1.0 + bump)))
+        else:
+            quadratic.append(
+                QuadraticConstraint(h=h, bound=float(np.mean(h * q**2)) * (1.0 + bump))
+            )
+    return IntegralStress(linear=tuple(linear), quadratic=tuple(quadratic))
+
+
 class TestSolveIntegral:
     def test_all_slack(self, lognormal_grid):
         m, _ = mean_sd(lognormal_grid)
@@ -385,6 +418,13 @@ class TestSolveIntegral:
         assert np.all(mults[slack_at_baseline] == 0.0)
         assert np.all(active[~slack_at_baseline])
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(integral_stresses())
+    def test_kkt_certificate(self, spec):
+        tol = 1e-9
+        assert_integral_kkt(_KKT_BASELINE.q, spec, solve_integral(_KKT_BASELINE, spec, tol=tol),
+                            tol)
+
     def test_constraint_functions_off_the_grid_raise(self, lognormal_grid):
         # one function per constraint, each of the grid's length
         n = lognormal_grid.n
@@ -484,6 +524,34 @@ class TestSolveUtilityRm:
         )
         np.testing.assert_allclose(model.stressed.q, rm_only.stressed.q, atol=1e-9)
         assert model.multipliers[0] == 0.0
+
+    @pytest.mark.parametrize("zeta", [0.0, 1e-4])
+    @pytest.mark.parametrize("with_es", [False, True])
+    def test_custom_utility_reproduces_hara(self, lognormal_grid, zeta, with_es, monkeypatch):
+        # the same utility from callables: central differences of u' stand in
+        # for the closed-form curvature, which only polishes the inverse
+        hara = HARAUtility(1.0, 5.0, 0.5)
+        custom = CustomUtility(value_fn=hara.value, marginal_fn=hara.marginal,
+                               domain_min=hara.domain_min)
+        curvatures = []
+        curvature = CustomUtility.curvature
+
+        def counting_curvature(self, x):
+            curvatures.append(1)
+            return curvature(self, x)
+
+        monkeypatch.setattr(CustomUtility, "curvature", counting_curvature)
+        w = es_weight(0.95, 4096)
+        es = (RmConstraint(w, 1.03 * eval_rm(lognormal_grid, w)),) if with_es else ()
+        floor = 1.01 * expected_utility(lognormal_grid, hara)
+        models = [solve_utility_rm(lognormal_grid, UtilityRm(u, floor, es), zeta=zeta)
+                  for u in (hara, custom)]
+        assert curvatures and models[0].multipliers[0] > 0.0
+        assert models[1].evaluations == models[0].evaluations
+        np.testing.assert_allclose(models[1].stressed.q, models[0].stressed.q,
+                                   rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(models[1].multipliers, models[0].multipliers,
+                                   rtol=1e-9, atol=1e-12)
 
     def test_binding_utility_with_es_pair(self, lognormal_grid):
         # ES down at 0.8, up at 0.95, utility floor above baseline: the
