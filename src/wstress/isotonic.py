@@ -221,12 +221,12 @@ def _expand(ends, block_values):
 def _smoothed_isotonic(v, w, pen):
     """Primal active-set QP on the pooled block structure.
 
-    Starts from the (feasible) plain isotonic fit.  Each pass solves the
-    tridiagonal equality system on the current blocks; infeasible solutions
-    trigger merges along the largest feasible step, feasible ones split the
-    most negative tie of every block at once.  Each solve minimises over a
-    subspace containing the current iterate, so the objective falls strictly.
-    Each pass is vectorised, and the pass count grows slowly with n.
+    Starts from the (feasible) plain isotonic fit and solves the tridiagonal
+    equality system on the current blocks in each pass.  A feasible solution
+    becomes the iterate, and every tie with a multiplier below ``-dual_tol``
+    is released at once.  The objective never rises, and a zero-length step
+    still opens a released tie, so a long pooled block splits in one pass
+    and a fit takes a few O(n) passes at any n.
     """
     n = v.size
     ends, block_vals = _pav_blocks(v, w)
@@ -240,7 +240,7 @@ def _smoothed_isotonic(v, w, pen):
         gaps = np.diff(b)
         if gaps.size == 0 or gaps.min() >= -feas_tol:
             x = _expand(ends, np.maximum.accumulate(b))
-            splits = _worst_tie_per_block(ends, x, v, w, pen, dual_tol)
+            splits = _negative_ties(ends, x, v, w, pen, dual_tol)
             if splits.size == 0:
                 return x
             ends = np.sort(np.concatenate((ends, splits + 1)))
@@ -263,12 +263,11 @@ def _smoothed_isotonic(v, w, pen):
     raise NotConvergedError("smoothed isotonic active set did not terminate")
 
 
-def _worst_tie_per_block(ends, x, v, w, pen, tol):
-    """Per block, the first tie whose multiplier is most negative and below -tol.
+def _negative_ties(ends, x, v, w, pen, tol):
+    """Indices of every tie whose multiplier ``mu = -cumsum(grad)`` is below -tol.
 
-    Stationarity gives the tie multipliers ``mu = -cumsum(grad)``; the last
-    index of a block is a boundary (zero multiplier by block optimality) or
-    the end of the vector, so it is masked out.
+    A block's last index is a boundary (zero multiplier by block optimality)
+    or the end of the vector, so it is masked out.
     """
     grad = 2.0 * w * (x - v)
     inc = np.diff(x)
@@ -276,11 +275,7 @@ def _worst_tie_per_block(ends, x, v, w, pen, tol):
     grad[1:] += 2.0 * pen * inc
     mu = -np.cumsum(grad)
     mu[ends - 1] = np.inf
-    starts = np.concatenate(([0], ends[:-1]))
-    block_min = np.minimum.reduceat(mu, starts)
-    hits = np.flatnonzero((mu == np.repeat(block_min, ends - starts)) & (mu < -tol))
-    _, first = np.unique(np.searchsorted(ends, hits, side="right"), return_index=True)
-    return hits[first]
+    return np.flatnonzero(mu < -tol)
 
 
 def project(f: GridFunction, weights=None, zeta: float = 0.0) -> GridFunction:

@@ -189,7 +189,12 @@ StressSpec = Union[RmStress, MeanVarRm, IntegralStress, VarStress, UtilityRm]
 
 @dataclass(frozen=True)
 class StressedModel:
-    """A converged stress: baseline, stressed grid, multipliers, diagnostics."""
+    """A converged stress: baseline, stressed grid, multipliers, diagnostics.
+
+    Each residual is achieved - target.  An inequality (an integral bound or
+    the utility floor) reports its violation, which is within the solver
+    tolerance of 0 whether the bound binds or is slack.
+    """
 
     baseline: QuantileGrid
     stressed: QuantileGrid

@@ -262,15 +262,42 @@ class TestSpav:
         assert_smoothed_isotonic_kkt(v, x, penalties=np.full(n - 1, zeta * n * n))
         assert np.unique(x).size < n  # the fit has ties, so the test is not vacuous
 
+    @pytest.mark.parametrize("zeta", [1e-5, 1e-3])
+    def test_long_pooled_blocks_take_few_passes(self, zeta, monkeypatch):
+        # a staircase with one drop: pav pools thousands of cells per block,
+        # and releasing one tie per block per pass would take ~1600 passes
+        passes = []
+        solve = isotonic._solve_block_system
+        monkeypatch.setattr(
+            isotonic, "_solve_block_system", lambda *a: passes.append(1) or solve(*a)
+        )
+        n = 16384
+        u = (np.arange(n) + 0.5) / n
+        v = np.floor(10.0 * u) - 3.0 * (u > 0.8)
+        x = spav(v, zeta=zeta)
+        assert_smoothed_isotonic_kkt(v, x, penalties=np.full(n - 1, zeta * n * n))
+        assert len(passes) <= 40
+
 
 @st.composite
 def smoothing_problems(draw):
-    """Random (v, w, zeta, u): some zero weights, non-uniform abscissae."""
+    """Random (v, w, zeta, u): some zero weights, non-uniform abscissae.
+
+    Optional step drops make long pooled blocks, and rounding makes exact
+    ties, so a pass can release many ties of one block at once.
+    """
     n = draw(st.integers(2, 200))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     v = rng.normal(size=n) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
     if draw(st.booleans()):
         v += np.linspace(0.0, 2.0 * np.abs(v).max(), n)  # mostly increasing
+    if draw(st.booleans()):
+        size = np.abs(v).max()
+        for at in rng.integers(0, n, size=draw(st.integers(1, 5))):
+            v[at:] -= rng.exponential(size)
+        if draw(st.booleans()):
+            step = size / 8.0
+            v = np.round(v / step) * step
     w = rng.uniform(0.0, 2.0, size=n)
     w[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
     w[rng.integers(n)] = 1.0  # not all zero

@@ -302,6 +302,20 @@ class TestSolveIntegral:
         assert np.all(model.multipliers == 0.0)
         assert np.all(model.multipliers_quadratic == 0.0)
 
+    def test_slack_bound_reads_as_met(self, lognormal_spec):
+        # an inequality's residual is its violation: a bound met with more
+        # than 5 to spare reads about 0, just as the binding one does
+        n = 1024
+        grid = discretize(lognormal_spec, n)
+        upper = (midpoint_grid(n) > 0.5).astype(float)
+        m = float(np.mean(grid.q))
+        spec = IntegralStress(linear=(LinearConstraint(h=np.ones(n), bound=m - 0.25),
+                                      LinearConstraint(h=upper, bound=m + 5.0)))
+        model = solve_integral(grid, spec)
+        assert float(np.mean(upper * model.stressed.q)) - (m + 5.0) < -5.0
+        assert model.multipliers[1] == 0.0
+        np.testing.assert_allclose(model.residuals, 0.0, atol=1e-6 * (m + 5.0))
+
     def test_mean_shift(self, lognormal_grid):
         # h == 1 binding at mean - delta is a pure downward shift by delta
         m, _ = mean_sd(lognormal_grid)
@@ -511,6 +525,9 @@ class TestSolveUtilityRm:
         np.testing.assert_array_equal(model.stressed.q, spav(grid.q, zeta=1e-4))
         assert model.w2 > 0.0
         assert model.multipliers[0] == 0.0
+        # the floor is met by about 0.1, and its residual is the violation, 0
+        assert expected_utility(model.stressed, u) - floor > 0.09
+        assert model.residuals[0] == 0.0
 
     def test_zero_utility_multiplier_matches_rm_solver(self, lognormal_grid):
         u = HARAUtility(1.0, 5.0, 0.5)
