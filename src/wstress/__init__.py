@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
     WstressError,
 )
-from .isotonic import GridFunction, pav, project, spav
+from .isotonic import pav, spav
 from .kde import kde_density, silverman_bandwidth, weighted_quantile
 from .reweight import SampleSet, WeightSet, rn_weights, stressed_cdf, stressed_expectation
 from .risk_measures import (

@@ -1,4 +1,4 @@
-"""Plain, weighted, and smoothed isotonic projections of grid-sampled functions.
+"""Plain, weighted, and smoothed isotonic projections of quantile grids.
 
 ``pav`` is an exact, single-pass pool-adjacent-violators solver for the
 weighted isotonic regression
@@ -10,17 +10,14 @@ scipy's compiled O(n) pool-adjacent-violators (``isotonic_regression``,
 Busing 2022), whose fits agree with a left-to-right pooling loop to within
 a few ulps.
 
-``spav`` adds a squared-increment penalty ``sum_i zeta_i * (x_{i+1} - x_i)**2``
-that discourages large jumps; it is solved as an equality-constrained
-quadratic program on the pooled block structure, where each equality solve
-is a symmetric tridiagonal system (O(n)).
-
-``project`` wraps both for functions sampled on an abscissa grid.
+``spav`` fits unit weights on the midpoint grid of (0, 1) with a
+squared-increment penalty ``zeta * n**2 * sum_i (x_{i+1} - x_i)**2`` that
+discourages large jumps; it is solved as an equality-constrained quadratic
+program on the pooled block structure, where each equality solve is a
+symmetric tridiagonal system (O(n)).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
@@ -28,33 +25,7 @@ from scipy.optimize import isotonic_regression
 
 from .errors import NotConvergedError, ValidationError
 
-__all__ = ["GridFunction", "as_weights", "pav", "spav", "project", "projection_jacobian"]
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """A real function sampled on strictly increasing abscissae in (0, 1)."""
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        u = np.atleast_1d(np.asarray(self.u, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        if u.ndim != 1 or v.ndim != 1 or u.size != v.size:
-            raise ValidationError("abscissae and values must be 1-d and equally long")
-        if u.size < 2:
-            raise ValidationError("need at least two grid points")
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
-            raise ValidationError("grid function contains non-finite entries")
-        if u[0] <= 0.0 or u[-1] >= 1.0 or np.any(np.diff(u) <= 0.0):
-            raise ValidationError("abscissae must be strictly increasing within (0, 1)")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def n(self) -> int:
-        return self.u.size
+__all__ = ["as_weights", "pav", "spav", "projection_jacobian"]
 
 
 def as_weights(weights, n: int) -> np.ndarray:
@@ -128,73 +99,64 @@ def _pav_fit(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     return means if means.size == v.size else _expand(ends, means)
 
 
-def spav(values, weights=None, zeta: float = 0.0, u=None) -> np.ndarray:
-    """Smoothed isotonic regression with a squared-increment penalty.
+def spav(values, zeta: float = 0.0) -> np.ndarray:
+    """Smoothed isotonic regression of a grid with a squared-increment penalty.
 
-    The per-increment penalty coefficients are ``zeta / (u[i+1] - u[i])**2``;
-    ``u`` defaults to the uniform midpoint grid on (0, 1), for which the
-    coefficient is ``zeta * n**2``.  ``zeta = 0`` reproduces :func:`pav`
-    exactly.  Non-finite abscissae, and penalties that overflow or swamp the
-    weights so the system is numerically singular, raise ValidationError.
+    Minimises ``sum (x_i - values_i)**2 + pen * sum (x_{i+1} - x_i)**2``
+    over nondecreasing ``x``, where ``pen = zeta * n**2`` is ``zeta`` over
+    the squared spacing of the midpoint grid on (0, 1).  ``zeta = 0``
+    reproduces :func:`pav` exactly.  A penalty that overflows, or that
+    swamps the unit weights so the system is numerically singular, raises
+    ValidationError.
     """
     v = _validated_values(values)
     if not np.isfinite(zeta) or zeta < 0.0:
         raise ValidationError("smoothing parameter zeta must be finite and >= 0")
-    w = np.ones(v.size) if weights is None else as_weights(weights, v.size)
     if zeta == 0.0 or v.size == 1:
-        return _pav_fit(v, w)
-    n = v.size
-    if u is None:
-        spacing = np.full(n - 1, 1.0 / n)
-    else:
-        ua = np.asarray(u, dtype=float)
-        if ua.shape != v.shape:
-            raise ValidationError("abscissae must match the values in length")
-        if not np.isfinite(ua).all():
-            raise ValidationError("abscissae contain non-finite entries")
-        spacing = np.diff(ua)
-        if np.any(spacing <= 0.0):
-            raise ValidationError("abscissae must be strictly increasing (no ties)")
-    with np.errstate(over="ignore", divide="ignore"):
-        penalties = zeta / spacing**2
-    if not np.isfinite(penalties).all():
-        raise ValidationError("increment penalty zeta / spacing**2 overflows")
+        return _pav_fit(v, np.ones(v.size))
+    with np.errstate(over="ignore"):
+        pen = _penalty(zeta, v.size)
+    if not np.isfinite(pen):
+        raise ValidationError("increment penalty zeta * n**2 overflows")
     try:
-        return _smoothed_isotonic(v, w, penalties)
+        return _smoothed_isotonic(v, pen)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"increment penalty too large for the weights: {exc}") from exc
 
 
-def _solve_block_system(ends, v, w, pen):
+def _penalty(zeta: float, n: int) -> float:
+    """The increment penalty: ``zeta`` over the squared midpoint-grid spacing."""
+    return zeta / (1.0 / n) ** 2
+
+
+def _solve_block_system(ends, v, pen):
     """Minimise the smoothed objective with all within-block ties enforced.
 
     The reduced unknowns are one value per block; only the penalty terms at
     block boundaries survive, giving a symmetric positive-definite
     tridiagonal system solved in O(n).
     """
-    starts = np.concatenate(([0], ends[:-1]))
-    cw = np.concatenate(([0.0], np.cumsum(w)))
-    cwv = np.concatenate(([0.0], np.cumsum(w * v)))
-    block_w = cw[ends] - cw[starts]
-    rhs = cwv[ends] - cwv[starts]
-    if block_w.size == 1:  # the weights are not all zero
-        return rhs / block_w
-    return solveh_banded(_block_banded(block_w, pen[ends[:-1] - 1]), rhs)
+    sizes = np.diff(ends, prepend=0)
+    rhs = np.diff(np.cumsum(v)[ends - 1], prepend=0.0)
+    if sizes.size == 1:
+        return rhs / sizes
+    return solveh_banded(_block_banded(sizes, pen), rhs)
 
 
-def _block_banded(block_w, boundary):
-    """The block system in upper banded form: block weights plus boundary penalties."""
-    diag = block_w + np.append(boundary, 0.0) + np.append(0.0, boundary)
+def _block_banded(sizes, pen):
+    """The block system in upper banded form: block sizes plus boundary penalties."""
+    boundary = np.full(sizes.size - 1, pen)
+    diag = sizes + np.append(boundary, 0.0) + np.append(0.0, boundary)
     return np.vstack((np.append(0.0, -boundary), diag))
 
 
 def projection_jacobian(x, outputs, inputs, zeta: float = 0.0) -> np.ndarray:
     """``outputs @ P @ inputs.T``, for the derivative ``P`` of the fit ``x``.
 
-    ``x`` is an unweighted :func:`spav` fit on the midpoint grid; rows are
-    directions.  With the blocks (runs of exact ties in ``x``) held fixed,
-    ``P = E A^-1 E.T`` for the block membership ``E`` and the block system
-    ``A``; at ``zeta = 0``, ``A`` is diagonal and only pooled cells move.
+    ``x`` is a :func:`spav` fit; rows are directions.  With the blocks (runs
+    of exact ties in ``x``) held fixed, ``P = E A^-1 E.T`` for the block
+    membership ``E`` and the block system ``A``; at ``zeta = 0``, ``A`` is
+    diagonal and only pooled cells move.
     """
     first = np.concatenate(([True], x[1:] != x[:-1]))
     pooled = ~(first & np.append(first[1:], True))
@@ -208,8 +170,7 @@ def projection_jacobian(x, outputs, inputs, zeta: float = 0.0) -> np.ndarray:
     if zeta == 0.0 or starts.size == 1:
         solved = block_inp / sizes[:, None]
     else:
-        boundary = np.full(starts.size - 1, zeta / (1.0 / x.size) ** 2)
-        solved = solveh_banded(_block_banded(sizes, boundary), block_inp)
+        solved = solveh_banded(_block_banded(sizes, _penalty(zeta, x.size)), block_inp)
     return outputs @ inputs.T - out @ inp.T + np.add.reduceat(out, starts, axis=1) @ solved
 
 
@@ -218,7 +179,7 @@ def _expand(ends, block_values):
     return np.repeat(block_values, ends - starts)
 
 
-def _smoothed_isotonic(v, w, pen):
+def _smoothed_isotonic(v, pen):
     """Primal active-set QP on the pooled block structure.
 
     Starts from the (feasible) plain isotonic fit and solves the tridiagonal
@@ -229,18 +190,18 @@ def _smoothed_isotonic(v, w, pen):
     and a fit takes a few O(n) passes at any n.
     """
     n = v.size
-    ends, block_vals = _pav_blocks(v, w)
+    ends, block_vals = _pav_blocks(v, np.ones(n))
     x = _expand(ends, block_vals)
     scale = max(1.0, float(np.abs(v).max()))
-    dual_tol = 1e-10 * scale * max(1.0, w.max(), pen.max())
+    dual_tol = 1e-10 * scale * max(1.0, pen)
     feas_tol = 1e-13 * scale
 
     for _ in range(8 * n + 100):
-        b = _solve_block_system(ends, v, w, pen)
+        b = _solve_block_system(ends, v, pen)
         gaps = np.diff(b)
         if gaps.size == 0 or gaps.min() >= -feas_tol:
             x = _expand(ends, np.maximum.accumulate(b))
-            splits = _negative_ties(ends, x, v, w, pen, dual_tol)
+            splits = _negative_ties(ends, x, v, pen, dual_tol)
             if splits.size == 0:
                 return x
             ends = np.sort(np.concatenate((ends, splits + 1)))
@@ -263,13 +224,13 @@ def _smoothed_isotonic(v, w, pen):
     raise NotConvergedError("smoothed isotonic active set did not terminate")
 
 
-def _negative_ties(ends, x, v, w, pen, tol):
+def _negative_ties(ends, x, v, pen, tol):
     """Indices of every tie whose multiplier ``mu = -cumsum(grad)`` is below -tol.
 
     A block's last index is a boundary (zero multiplier by block optimality)
     or the end of the vector, so it is masked out.
     """
-    grad = 2.0 * w * (x - v)
+    grad = 2.0 * (x - v)
     inc = np.diff(x)
     grad[:-1] -= 2.0 * pen * inc
     grad[1:] += 2.0 * pen * inc
@@ -277,7 +238,3 @@ def _negative_ties(ends, x, v, w, pen, tol):
     mu[ends - 1] = np.inf
     return np.flatnonzero(mu < -tol)
 
-
-def project(f: GridFunction, weights=None, zeta: float = 0.0) -> GridFunction:
-    """Weighted (optionally smoothed) isotonic projection of a grid function."""
-    return GridFunction(f.u, spav(f.v, weights, zeta=zeta, u=f.u))

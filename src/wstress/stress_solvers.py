@@ -686,9 +686,7 @@ def solve_utility_rm(
             baseline, RmStress(spec.constraints), zeta=zeta, tol=tol, max_iter=max_iter
         )
     else:
-        # the nondecreasing baseline is its own projection at zeta = 0
-        q = spav(baseline.q, zeta=zeta) if zeta > 0.0 else baseline.q
-        pre = _model(baseline, q, [], [], [], zeta, 1)
+        pre = _model(baseline, _isotonic(baseline.q, zeta), [], [], [], zeta, 1)
     base_util = expected_utility(pre.stressed, spec.utility)
     if base_util >= spec.floor - tol * max(1.0, abs(spec.floor)):
         return _model(

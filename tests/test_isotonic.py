@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import assert_smoothed_isotonic_kkt, pav_loop_blocks, smoothed_isotonic_oracle
 from wstress import isotonic
 from wstress.errors import ValidationError
-from wstress.isotonic import GridFunction, _expand, as_weights, pav, project, spav
+from wstress.isotonic import _expand, as_weights, pav, spav
 
 
 class TestPav:
@@ -173,10 +173,8 @@ class TestSpav:
     def test_zero_smoothing_reproduces_pav(self):
         rng = np.random.default_rng(19)
         for _ in range(20):
-            n = rng.integers(2, 30)
-            v = rng.normal(size=n)
-            w = rng.uniform(0.2, 2.0, size=n)
-            np.testing.assert_array_equal(spav(v, w, zeta=0.0), pav(v, w))
+            v = rng.normal(size=rng.integers(2, 30))
+            np.testing.assert_array_equal(spav(v, zeta=0.0), pav(v))
 
     def test_negative_smoothing_raises(self):
         with pytest.raises(ValidationError):
@@ -195,9 +193,8 @@ class TestSpav:
         u = (np.arange(n) + 0.5) / n
         pen = 0.01 / np.diff(u) ** 2
         v = np.array([3.0, 1.0, 2.0])
-        w = np.ones(n)
         np.testing.assert_allclose(
-            spav(v, w, zeta=0.01), smoothed_isotonic_oracle(v, w, pen), atol=1e-9
+            spav(v, zeta=0.01), smoothed_isotonic_oracle(v, np.ones(n), pen), atol=1e-9
         )
 
     def test_matches_qp_oracle_random(self):
@@ -208,11 +205,8 @@ class TestSpav:
             zeta = float(rng.uniform(0.0, 0.05))
             pen = zeta / np.diff(u) ** 2
             v = rng.normal(size=n) * 3
-            w = rng.uniform(0.1, 2.0, size=n)
             np.testing.assert_allclose(
-                spav(v, w, zeta=zeta),
-                smoothed_isotonic_oracle(v, w, pen),
-                atol=1e-9,
+                spav(v, zeta=zeta), smoothed_isotonic_oracle(v, np.ones(n), pen), atol=1e-9
             )
 
     def test_limit_to_pav(self):
@@ -220,8 +214,7 @@ class TestSpav:
         for _ in range(20):
             n = int(rng.integers(2, 9))
             v = rng.uniform(0.0, 1.0, size=n)
-            w = rng.uniform(0.5, 1.5, size=n)
-            gap = np.abs(spav(v, w, zeta=1e-8) - pav(v, w)).max()
+            gap = np.abs(spav(v, zeta=1e-8) - pav(v)).max()
             assert gap <= 1e-6
 
     def test_limit_trend(self):
@@ -231,18 +224,13 @@ class TestSpav:
         ]
         assert gaps[0] >= gaps[1] >= gaps[2]
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_abscissae_raise(self, bad):
-        with pytest.raises(ValidationError):
-            spav([3.0, 1.0, 2.0], zeta=1e-3, u=[0.1, 0.5, bad])
-
     def test_overflowing_penalty_raises(self):
         # zeta * n**2 overflows to inf on the default grid
         with pytest.raises(ValidationError):
             spav(np.linspace(1.0, 0.0, 64), zeta=1e306)
 
     def test_penalty_too_large_for_weights_raises(self):
-        # finite penalties, but the tridiagonal system is numerically singular
+        # a finite penalty, but the tridiagonal system is numerically singular
         with pytest.raises(ValidationError):
             spav([3.0, 1.0, 2.0, 5.0], zeta=1e300)
 
@@ -278,10 +266,19 @@ class TestSpav:
         assert_smoothed_isotonic_kkt(v, x, penalties=np.full(n - 1, zeta * n * n))
         assert len(passes) <= 40
 
+    def test_block_ends_are_never_released(self):
+        # blocks {0, 1} and {2, 3}; the first sits 5 above its mean, so the
+        # multiplier at its end, cell 1, is -10, though it is a boundary
+        ends, v = np.array([2, 4]), np.array([0.0, 0.0, 10.0, 10.0])
+        x = np.array([5.0, 5.0, 10.0, 10.0])
+        splits = isotonic._negative_ties(ends, x, v, 1.0, 1e-10)
+        assert splits.tolist() == [0, 2]
+        assert np.intersect1d(splits, ends - 1).size == 0
+
 
 @st.composite
 def smoothing_problems(draw):
-    """Random (v, w, zeta, u): some zero weights, non-uniform abscissae.
+    """Random (v, zeta): noisy values, some trending upward.
 
     Optional step drops make long pooled blocks, and rounding makes exact
     ties, so a pass can release many ties of one block at once.
@@ -298,22 +295,18 @@ def smoothing_problems(draw):
         if draw(st.booleans()):
             step = size / 8.0
             v = np.round(v / step) * step
-    w = rng.uniform(0.0, 2.0, size=n)
-    w[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
-    w[rng.integers(n)] = 1.0  # not all zero
-    gaps = rng.uniform(0.2, 1.0, size=n + 1)
-    u = np.cumsum(gaps)[:-1] / gaps.sum()
     zeta = draw(st.sampled_from([0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0]))
-    return v, w, zeta, u
+    return v, zeta
 
 
 class TestSpavProperties:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(smoothing_problems())
     def test_kkt_conditions(self, problem):
-        v, w, zeta, u = problem
-        x = spav(v, w, zeta=zeta, u=u)
-        assert_smoothed_isotonic_kkt(v, x, w, zeta / np.diff(u) ** 2)
+        v, zeta = problem
+        n = v.size
+        x = spav(v, zeta=zeta)
+        assert_smoothed_isotonic_kkt(v, x, penalties=np.full(n - 1, zeta / (1.0 / n) ** 2))
 
 
 def _tie_runs(x):
@@ -362,33 +355,6 @@ class TestProjectionJacobian:
         inputs = np.arange(5.0)[None, :]
         jac = isotonic.projection_jacobian(np.ones(5), np.ones((1, 5)), inputs, zeta=1e-3)
         np.testing.assert_allclose(jac, [[inputs.sum()]], rtol=1e-14)
-
-
-class TestProject:
-    def test_monotone_function_unchanged(self):
-        u = (np.arange(8) + 0.5) / 8
-        f = GridFunction(u, np.sort(np.random.default_rng(3).normal(size=8)))
-        out = project(f)
-        np.testing.assert_array_equal(out.v, f.v)
-
-    def test_decreasing_function_projects_to_mean(self):
-        u = (np.arange(32) + 0.5) / 32
-        f = GridFunction(u, -u)
-        out = project(f)
-        np.testing.assert_allclose(out.v, np.full(32, (-u).mean()), atol=1e-12)
-
-    def test_constant_weights_match_unweighted(self):
-        rng = np.random.default_rng(31)
-        u = (np.arange(16) + 0.5) / 16
-        v = rng.normal(size=16)
-        f = GridFunction(u, v)
-        np.testing.assert_allclose(
-            project(f, np.full(16, 3.7)).v, project(f).v, atol=1e-12
-        )
-
-    def test_rejects_tied_abscissae(self):
-        with pytest.raises(ValidationError):
-            GridFunction(np.array([0.2, 0.2, 0.6]), np.array([1.0, 2.0, 3.0]))
 
 
 class TestWeights:
