@@ -192,24 +192,16 @@ def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
     return header, data
 
 
-def read_sample_csv(path: str, output_column: str = "Y") -> tuple[SampleSet, np.ndarray | None]:
-    """Read a sample CSV; returns the sample set and the theta column if present."""
+def read_sample_csv(path: str, output_column: str = "Y") -> SampleSet:
+    """A sample CSV's sample set: every column but ``output_column`` and ``theta`` is an input."""
     header, data = _read_csv_table(path)
     if output_column not in header:
         raise ConfigError(f"sample file lacks output column {output_column!r}")
-    y = data[:, header.index(output_column)]
-    theta = None
-    input_cols = []
-    for j, name in enumerate(header):
-        if name == output_column:
-            continue
-        if name == "theta":
-            theta = data[:, j]
-            continue
-        input_cols.append((name, j))
-    X = data[:, [j for _, j in input_cols]]
-    names = tuple(name for name, _ in input_cols)
-    return SampleSet(X=X, Y=y, columns=names), theta
+    input_cols = [(name, j) for j, name in enumerate(header)
+                  if name not in (output_column, "theta")]
+    return SampleSet(X=data[:, [j for _, j in input_cols]],
+                     Y=data[:, header.index(output_column)],
+                     columns=tuple(name for name, _ in input_cols))
 
 
 def resolve_samples(config: dict) -> SampleSet | None:
@@ -219,7 +211,7 @@ def resolve_samples(config: dict) -> SampleSet | None:
         return None
     csv_path = _get(section, "csv", str, None, "input")
     if csv_path is not None:
-        return read_sample_csv(csv_path, _get(section, "output_column", str, "Y", "input"))[0]
+        return read_sample_csv(csv_path, _get(section, "output_column", str, "Y", "input"))
     if "scenario" in section:
         return generate(_scenario_config(config)).samples
     raise ConfigError("input section needs either 'csv' or 'scenario'")
@@ -542,12 +534,6 @@ def run_sensitivity(config: dict) -> tuple[int, str]:
     zeta = config["zeta"]
     weight_sets = {name: rn_weights(samples, baseline_spec, solve(baseline, s, zeta=zeta).stressed)
                    for name, s in stresses.items()}
-    out_dir = _make_out(config)
-
-    header = ["stress", "input", "s_tag", "S", "numerator", "max_bound", "min_bound"]
-    if want_delta:
-        header += ["delta_baseline", "delta_stressed"]
-    rows = []
     # per input: the unweighted delta, then one per stress, from one call
     deltas = {col: delta_measure(samples.Y, samples.column(col), [None, *weight_sets.values()])
               for col in samples.columns} if want_delta else {}
@@ -561,6 +547,12 @@ def run_sensitivity(config: dict) -> tuple[int, str]:
     )
     results = [(target, tag, reverse_sensitivity(s, list(weight_sets.values())))
                for target, tag, s in s_vectors]
+    out_dir = _make_out(config)  # once every value is computed, so an error leaves no out
+
+    header = ["stress", "input", "s_tag", "S", "numerator", "max_bound", "min_bound"]
+    if want_delta:
+        header += ["delta_baseline", "delta_stressed"]
+    rows = []
     for k, name in enumerate(weight_sets):
         for target, tag, per_stress in results:
             res = per_stress[k]

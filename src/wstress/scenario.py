@@ -37,14 +37,14 @@ MARGINAL_SHIFT = 25.0
 DEFAULT_LOCATION_SEED = 2
 
 
-def default_locations(seed: int = DEFAULT_LOCATION_SEED) -> np.ndarray:
-    """Ten planar locations drawn once from Uniform([0, 1]^2).
+def default_locations() -> np.ndarray:
+    """Ten planar locations drawn from Uniform([0, 1]^2) with ``DEFAULT_LOCATION_SEED``.
 
     The unit square keeps every exp(-theta * distance) correlation positive
     in a meaningful sense even in the fastest-decay regime (theta = 5), so
     all regimes couple the losses rather than degenerating to independence.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_LOCATION_SEED)
     return rng.uniform(0.0, 1.0, size=(N_LOCATIONS, 2))
 
 
@@ -131,24 +131,19 @@ STRESS2_BUMPS = (0.01, 0.01, 0.03)
 HARA_PARAMS = (1.0, 5.0, 0.5)
 
 
-def table1_stresses(
-    output: ScenarioOutput,
-    grid_n: int = DEFAULT_GRID_N,
-    zeta: float = 0.0,
-    tol: float = 1e-6,
-) -> tuple[StressedModel, StressedModel]:
+def table1_stresses(output: ScenarioOutput) -> tuple[StressedModel, StressedModel]:
     """The two standard portfolio stresses on the total loss.
 
     Stress 1 bumps only the far-tail expected shortfall (+1% at level 0.95),
     holding the utility and the 0.8-level expected shortfall at their
-    baseline values; stress 2 bumps all three (+1%, +1%, +3%).
+    baseline values; stress 2 bumps all three (+1%, +1%, +3%).  Both are
+    solved unsmoothed on ``DEFAULT_GRID_N`` cells at the default tolerance.
     """
-    baseline_spec = Empirical(output.samples.Y)
-    baseline = discretize(baseline_spec, grid_n)
+    baseline = discretize(Empirical(output.samples.Y), DEFAULT_GRID_N)
     utility = HARAUtility(*HARA_PARAMS)
     base_util = expected_utility(baseline, utility)
-    es80 = es_weight(0.8, grid_n)
-    es95 = es_weight(0.95, grid_n)
+    es80 = es_weight(0.8, baseline.n)
+    es95 = es_weight(0.95, baseline.n)
     base80 = eval_rm(baseline, es80)
     base95 = eval_rm(baseline, es95)
 
@@ -162,5 +157,5 @@ def table1_stresses(
                 RmConstraint(es95, base95 * (1.0 + bump95)),
             ),
         )
-        models.append(solve_utility_rm(baseline, spec, zeta=zeta, tol=tol))
+        models.append(solve_utility_rm(baseline, spec))
     return models[0], models[1]

@@ -32,6 +32,8 @@ __all__ = [
 
 _ZERO_NUMERATOR = 1e-12
 DELTA_GRID_SIZE = 512
+DELTA_BINS = 20  # equal-probability input bins of the delta measure
+DELTA_MIN_PER_BIN = 50  # the fewest samples a delta-measure bin may hold
 
 
 @dataclass(frozen=True)
@@ -127,18 +129,17 @@ def delta_measure(
     y,
     x,
     weights: WeightSet | None | Sequence[WeightSet | None] = None,
-    bins: int = 20,
-    min_per_bin: int = 50,
 ) -> float | list[float]:
     """Moment-independent sensitivity of the output to one input.
 
-    Estimator: partition the input into ``bins`` (weighted) equal-probability
-    bins by rank, estimate the output density marginally and within each bin
-    by Gaussian KDE with the Silverman bandwidth on a shared grid of
-    ``DELTA_GRID_SIZE`` points spanning the 0.1%-99.9% weighted quantile
-    range, and average half the L1 gap between conditional and marginal
-    densities over bins.  Values lie in [0, 1]; binning by rank makes the
-    estimate invariant under strictly monotone transforms of the input.
+    Estimator: partition the input into ``DELTA_BINS`` (weighted)
+    equal-probability bins by rank, estimate the output density marginally
+    and within each bin by Gaussian KDE with the Silverman bandwidth on a
+    shared grid of ``DELTA_GRID_SIZE`` points spanning the 0.1%-99.9%
+    weighted quantile range, and average half the L1 gap between conditional
+    and marginal densities over bins.  Values lie in [0, 1]; binning by rank
+    makes the estimate invariant under strictly monotone transforms of the
+    input.  A bin must hold ``DELTA_MIN_PER_BIN`` samples, so n >= 1000.
 
     ``weights`` is ``None`` (the unweighted sample), one weight set, or a
     list or tuple of them; the sequence form returns a list with one value
@@ -154,9 +155,9 @@ def delta_measure(
     if y.shape != x.shape or y.ndim != 1:
         raise ValidationError("output and input must be equally long vectors")
     n = y.size
-    if n < bins * min_per_bin:
+    if n < DELTA_BINS * DELTA_MIN_PER_BIN:
         raise ValidationError(
-            f"need at least {bins * min_per_bin} samples for {bins} bins"
+            f"need at least {DELTA_BINS * DELTA_MIN_PER_BIN} samples for {DELTA_BINS} bins"
         )
     y_order = np.argsort(y, kind="stable")
     x_order = np.argsort(x, kind="stable")
@@ -165,13 +166,13 @@ def delta_measure(
     ys, x_rank_y = y[y_order], x_rank[y_order]
     many = isinstance(weights, (list, tuple))
     values = [
-        _delta_sorted(ys, y_order, x_order, x_rank_y, wset, bins, min_per_bin)
+        _delta_sorted(ys, y_order, x_order, x_rank_y, wset)
         for wset in (weights if many else [weights])
     ]
     return values if many else values[0]
 
 
-def _delta_sorted(ys, y_order, x_order, x_rank_y, wset, bins, min_per_bin) -> float:
+def _delta_sorted(ys, y_order, x_order, x_rank_y, wset) -> float:
     """One delta measure from the y-sorted output and each y-sorted sample's x rank."""
     n = ys.size
     w = np.ones(n) if wset is None else wset.w
@@ -186,15 +187,16 @@ def _delta_sorted(ys, y_order, x_order, x_rank_y, wset, bins, min_per_bin) -> fl
     f_marginal = kde_density(ys, grid, weights=wy)
 
     cum = np.cumsum(w[x_order])
-    edges = np.searchsorted(cum, np.arange(1, bins) * cum[-1] / bins, side="left")
+    edges = np.searchsorted(cum, np.arange(1, DELTA_BINS) * cum[-1] / DELTA_BINS, side="left")
     edges = np.concatenate(([0], edges + 1, [n]))
-    labels = np.repeat(np.arange(bins, dtype=np.min_scalar_type(bins)), np.diff(edges))
+    labels = np.repeat(np.arange(DELTA_BINS, dtype=np.min_scalar_type(DELTA_BINS)),
+                       np.diff(edges))
     by_bin = np.argsort(labels[x_rank_y], kind="stable")
     total = 0.0
-    for b in range(bins):
+    for b in range(DELTA_BINS):
         members = by_bin[edges[b] : edges[b + 1]]
-        if members.size < min_per_bin:
-            raise ValidationError(f"bin {b} holds fewer than {min_per_bin} samples")
+        if members.size < DELTA_MIN_PER_BIN:
+            raise ValidationError(f"bin {b} holds fewer than {DELTA_MIN_PER_BIN} samples")
         wb = wy[members]
         if wb.sum() <= 0.0:
             continue

@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-6
+MAX_ITER = 200  # the outer-iteration budget of every solver's multiplier search
 _SCALE_GUARD = 1e-6  # |1 + lam_scale| in the mean/variance family
 
 
@@ -220,7 +221,7 @@ def multiplier_search(
     *,
     scale=None,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
+    max_iter: int = MAX_ITER,
     lower=None,
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> SearchResult:
@@ -392,9 +393,9 @@ def _rm_arrays(baseline, constraints):
     return gammas, targets, [f"{c.weight.tag}{c.weight.params}" for c in constraints]
 
 
-def _search(baseline, build, residual, d, scale, names, zeta, tol, max_iter,
+def _search(baseline, build, residual, scale, names, zeta, tol,
             lower=None, spent=0, jacobian=None, upper=0):
-    """Find ``d`` multipliers with ``residual(build(lam)) = 0``.
+    """Find one multiplier per name in ``names`` with ``residual(build(lam)) = 0``.
 
     ``build`` maps multipliers to the stressed grid and is memoised, so the
     solution is not rebuilt and ``jacobian(lam, stressed)``, if given, reads
@@ -407,6 +408,7 @@ def _search(baseline, build, residual, d, scale, names, zeta, tol, max_iter,
     the memoised iterate.  The rest start at 0.  ``jacobian`` is in lam, not z,
     so it serves searches without upper bounds.
     """
+    d = len(names)
     bounded = np.arange(d) < upper
     stressed_for = _projection_cache(build)
 
@@ -423,7 +425,7 @@ def _search(baseline, build, residual, d, scale, names, zeta, tol, max_iter,
     exact = None if jacobian is None else (lambda lam: jacobian(lam, stressed_for(lam)))
     try:
         result = multiplier_search(normal_map, start, scale=scale, tol=tol,
-                                   max_iter=max_iter, lower=lower, jacobian=exact)
+                                   max_iter=MAX_ITER, lower=lower, jacobian=exact)
     except NotConvergedError as exc:
         raise NotConvergedError(str(exc), residuals=exc.residuals,
                                 multipliers=lam_of(exc.multipliers)) from exc
@@ -437,7 +439,6 @@ def solve_rm(
     spec: RmStress,
     zeta: float = 0.0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
 ) -> StressedModel:
     """Stress distortion risk measures to target values.
 
@@ -450,7 +451,7 @@ def solve_rm(
         baseline,
         lambda lam: _isotonic(baseline.q + gammas.T @ lam, zeta=zeta),
         lambda qs: qs @ gammas.T / baseline.n - targets,
-        len(targets), _target_scale(targets), names, zeta, tol, max_iter,
+        _target_scale(targets), names, zeta, tol,
         jacobian=lambda lam, qs: projection_jacobian(qs, gammas, gammas, zeta) / baseline.n,
     )
 
@@ -488,7 +489,6 @@ def solve_mean_var_rm(
     spec: MeanVarRm,
     zeta: float = 0.0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
 ) -> StressedModel:
     """Stress the mean and standard deviation, optionally with risk measures.
 
@@ -521,9 +521,9 @@ def solve_mean_var_rm(
 
     targets = np.concatenate(([spec.mean, spec.sd], rm_targets))
     model = _search(
-        baseline, lambda lam: _isotonic(reshaped(lam)[0], zeta=zeta), residual, len(targets),
+        baseline, lambda lam: _isotonic(reshaped(lam)[0], zeta=zeta), residual,
         np.maximum(_target_scale(targets), spec.sd), ["mean", "sd", *rm_names],
-        zeta, tol, max_iter, jacobian=jacobian,
+        zeta, tol, jacobian=jacobian,
     )
     if abs(1.0 + model.multipliers[1]) < _SCALE_GUARD:
         raise NotConvergedError(
@@ -538,7 +538,6 @@ def solve_integral(
     baseline: QuantileGrid,
     spec: IntegralStress,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
 ) -> StressedModel:
     """Linear and quadratic integral inequality constraints.
 
@@ -563,8 +562,8 @@ def solve_integral(
     def residual(qs):
         return np.concatenate((lin_h @ qs, quad_h @ qs**2)) / baseline.n - bounds
 
-    model = _search(baseline, build, residual, bounds.size, _target_scale(bounds),
-                    [c.name for c in constraints], 0.0, tol, max_iter, upper=bounds.size)
+    model = _search(baseline, build, residual, _target_scale(bounds),
+                    [c.name for c in constraints], 0.0, tol, upper=bounds.size)
     return replace(model, multipliers=model.multipliers[:d],
                    multipliers_quadratic=model.multipliers[d:])
 
@@ -615,7 +614,7 @@ def solve_var(baseline: QuantileGrid, spec: VarStress) -> StressedModel:
     return _model(baseline, qs, [], [achieved - spec.value], [name], 0.0, 1)
 
 
-def _inverse_shifted_marginal(values, utility, lam1, tol=1e-10):
+def _inverse_shifted_marginal(values, utility, lam1):
     """Left-inverse of nu(x) = x - lam1 * u'(x), evaluated pointwise.
 
     ``nu`` is strictly increasing with slope >= 1 for concave u and lam1 >= 0,
@@ -645,7 +644,7 @@ def _inverse_shifted_marginal(values, utility, lam1, tol=1e-10):
     else:
         raise UtilityDomainError("could not bracket the utility inverse on its domain")
     x = 0.5 * (lo + hi)
-    tol_abs = tol * max(1.0, float(np.max(np.abs(y))))
+    tol_abs = 1e-10 * max(1.0, float(np.max(np.abs(y))))
     for _ in range(200):
         fx = nu(x) - y
         done = np.abs(fx) <= tol_abs
@@ -668,7 +667,6 @@ def solve_utility_rm(
     spec: UtilityRm,
     zeta: float = 0.0,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
 ) -> StressedModel:
     """Expected-utility floor combined with risk-measure equalities.
 
@@ -682,9 +680,7 @@ def solve_utility_rm(
     gammas, rm_targets, rm_names = _rm_arrays(baseline, spec.constraints)
     names = ["utility", *rm_names]
     if spec.constraints:
-        pre = solve_rm(
-            baseline, RmStress(spec.constraints), zeta=zeta, tol=tol, max_iter=max_iter
-        )
+        pre = solve_rm(baseline, RmStress(spec.constraints), zeta=zeta, tol=tol)
     else:
         pre = _model(baseline, _isotonic(baseline.q, zeta), [], [], [], zeta, 1)
     base_util = expected_utility(pre.stressed, spec.utility)
@@ -706,8 +702,8 @@ def solve_utility_rm(
     targets = np.concatenate(([spec.floor], rm_targets))
     lower = np.concatenate(([0.0], np.full(rm_targets.size, -np.inf)))
     return _search(
-        baseline, build, residual, targets.size, _target_scale(targets), names,
-        zeta, tol, max_iter, lower=lower, spent=pre.evaluations,
+        baseline, build, residual, _target_scale(targets), names,
+        zeta, tol, lower=lower, spent=pre.evaluations,
     )
 
 

@@ -169,6 +169,40 @@ def assert_integral_kkt(baseline_q, spec, model, tol):
     np.testing.assert_allclose(x, fit, rtol=1e-12, atol=1e-12 * float(np.abs(q).max()))
 
 
+def assert_utility_kkt(baseline_q, spec, model, tol):
+    """KKT certificate of ``model`` as the solution of the utility stress ``spec``.
+
+    The problem is ``min mean (x - q)**2`` over nondecreasing ``x`` subject to
+    ``mean(u(x)) >= floor`` and ``mean(gamma_k * x) = c_k``.  With a floor
+    multiplier ``lam1 >= 0`` and risk-measure multipliers ``mu``, its
+    stationarity condition says ``x - lam1 * u'(x)`` is the isotonic
+    regression of ``q + sum mu_k gamma_k``, computed here by
+    ``pav_loop_blocks``.  The floor and every risk measure must hold to
+    ``tol * max(1, |target|)``, and the floor must bind to the same tolerance
+    where ``lam1`` is positive.
+    """
+    q = np.asarray(baseline_q, dtype=float)
+    x = model.stressed.q
+    lam1, mu = model.multipliers[0], model.multipliers[1:]
+    assert mu.shape == (len(spec.constraints),)
+    assert lam1 >= 0.0, f"negative floor multiplier {lam1:.3g}"
+    assert float(np.diff(x).min(initial=0.0)) >= 0.0, "stressed grid decreases"
+    floor_gap = float(np.mean(spec.utility.value(x))) - spec.floor
+    floor_scale = tol * max(1.0, abs(spec.floor))
+    assert floor_gap >= -floor_scale, f"floor violated by {-floor_gap:.3g}"
+    if lam1 > 0.0:
+        assert abs(floor_gap) <= floor_scale, "complementarity violated"
+    for c in spec.constraints:
+        gap = float(np.mean(c.weight.values * x)) - c.target
+        assert abs(gap) <= tol * max(1.0, abs(c.target)), f"risk measure off by {gap:.3g}"
+    shifted = q + sum((m * c.weight.values for m, c in zip(mu, spec.constraints)),
+                      np.zeros(q.size))
+    ends, means = pav_loop_blocks(shifted, np.ones(q.size))
+    fit = np.repeat(means, np.diff(ends, prepend=0))
+    gap = float(np.abs(x - lam1 * spec.utility.marginal(x) - fit).max())
+    assert gap <= 1e-9 * max(1.0, float(np.abs(x).max())), f"stationarity gap {gap:.3g}"
+
+
 def uniform_grid(n=4096):
     """Quantile grid of the standard uniform distribution."""
     return QuantileGrid(midpoint_grid(n))

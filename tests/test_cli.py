@@ -17,7 +17,6 @@ from wstress.cli import (
     _read_csv_table,
     _write_csv,
     main,
-    read_sample_csv,
     run_stress,
     load_config,
 )
@@ -240,7 +239,9 @@ class TestSimulateCommand:
         }
         cfg = write_config(tmp_path, config)
         main(["simulate", str(cfg)])
-        samples, theta = read_sample_csv(str(tmp_path / "out" / "samples.csv"))
+        path = tmp_path / "out" / "samples.csv"
+        header = path.read_text().splitlines()[0].split(",")
+        theta = np.loadtxt(path, delimiter=",", skiprows=1, usecols=header.index("theta"))
         assert theta is not None
         n = theta.size
         for r, p in enumerate((0.05, 0.6, 0.35)):
@@ -634,6 +635,42 @@ class TestPartialOutput:
         }
         assert main([command, str(write_config(tmp_path, config))]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_delta_on_too_few_samples_writes_nothing(self, tmp_path, capsys):
+        # the stresses solve and reweight; the delta measure then needs 20 x 50 samples
+        out = tmp_path / "out"
+        config = {
+            "out": str(out),
+            "grid_n": 256,
+            "input": {"scenario": {"n_samples": 500}},
+            "baseline": {"kind": "empirical"},
+            "stresses": self.STRESSES[:1],
+            "sensitivity": {"delta": True},
+        }
+        assert main(["sensitivity", str(write_config(tmp_path, config))]) == 1
+        assert "need at least 1000 samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_non_finite_s_values_write_nothing(self, tmp_path, capsys):
+        # a zero input cell makes power:-1 infinite after every stress is reweighted
+        rng = np.random.default_rng(5)
+        x = np.concatenate(([0.0], rng.uniform(1.0, 2.0, 499)))
+        y = x + rng.lognormal(size=500)
+        csv_path = tmp_path / "samples.csv"
+        _write_csv(csv_path, ["L1", "Y"], [x, y], None)
+        out = tmp_path / "out"
+        config = {
+            "out": str(out),
+            "grid_n": 256,
+            "input": {"csv": str(csv_path)},
+            "baseline": {"kind": "empirical"},
+            "stresses": self.STRESSES[:1],
+            "sensitivity": {"s_functions": ["power:-1"]},
+        }
+        assert main(["sensitivity", str(write_config(tmp_path, config))]) == 1
+        assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_number_exits_1(self, tmp_path, capsys):

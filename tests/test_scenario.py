@@ -103,11 +103,11 @@ class TestGenerate:
 
 class TestTable1Stresses:
     def test_stress_pair(self, output_100k):
-        model1, model2 = table1_stresses(output_100k, grid_n=2048)
+        model1, model2 = table1_stresses(output_100k)
         baseline = model1.baseline
         u = HARAUtility(1.0, 5.0, 0.5)
-        es80 = es_weight(0.8, 2048)
-        es95 = es_weight(0.95, 2048)
+        es80 = es_weight(0.8, baseline.n)
+        es95 = es_weight(0.95, baseline.n)
 
         # stress 1: ES at 0.8 pinned at baseline (0% bump), ES at 0.95 +1%
         base80 = eval_rm(baseline, es80)

@@ -165,7 +165,7 @@ class TestDeltaMeasure:
         n = 5000
         y = rng.normal(size=n)
         x = 0.5 * y + rng.normal(size=n)
-        val = delta_measure(y, x, bins=10, min_per_bin=50)
+        val = delta_measure(y, x)
         assert 0.0 <= val <= 1.0
 
     def test_insufficient_samples(self):

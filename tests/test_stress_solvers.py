@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from conftest import assert_integral_kkt, uniform_grid
+from conftest import assert_integral_kkt, assert_utility_kkt, uniform_grid
 from wstress.distributions import (
     Lognormal,
     QuantileGrid,
@@ -50,17 +50,19 @@ from wstress.stress_solvers import (
 )
 
 
-def _slsqp_nearest(base, equalities):
+def _slsqp_nearest(base, equalities, inequalities=()):
     """The nondecreasing grid nearest ``base`` under equality constraints, by SLSQP.
 
-    ``equalities`` are (function, gradient) pairs.  The objective is the mean
-    squared gap, on the scale of the constraints, so the line search
-    converges whatever the BLAS thread count.
+    ``equalities`` are (function, gradient) pairs, and so are ``inequalities``,
+    each met where its function is >= 0.  The objective is the mean squared
+    gap, on the scale of the constraints, so the line search converges
+    whatever the BLAS thread count.
     """
     n = base.n
     diff = np.diff(np.eye(n), axis=0)
     constraints = [{"type": "ineq", "fun": lambda g: diff @ g, "jac": lambda g: diff}]
     constraints += [{"type": "eq", "fun": f, "jac": j} for f, j in equalities]
+    constraints += [{"type": "ineq", "fun": f, "jac": j} for f, j in inequalities]
     oracle = optimize.minimize(
         lambda g: float(np.mean((g - base.q) ** 2)),
         base.q,
@@ -78,10 +80,10 @@ def _rm_equalities(constraints):
              lambda g, c=c: c.weight.values / g.size) for c in constraints]
 
 
-def _assert_matches_oracle(base, model, oracle):
+def _assert_matches_oracle(base, model, oracle, atol=1e-8):
     ours = float(np.mean((model.stressed.q - base.q) ** 2))
     assert ours <= oracle.fun + 1e-12
-    assert np.abs(model.stressed.q - oracle.x).max() <= 1e-8
+    assert np.abs(model.stressed.q - oracle.x).max() <= atol
 
 
 class TestSolveRm:
@@ -286,6 +288,26 @@ def integral_stresses(draw):
     return IntegralStress(linear=tuple(linear), quadratic=tuple(quadratic))
 
 
+@st.composite
+def utility_stresses(draw):
+    """A baseline of at most 512 cells and a HARA floor with up to two ES equalities.
+
+    The floor moves the baseline's expected utility by a bump in [-0.5%, +3%]
+    (a negative bump leaves it slack); each ES at a distinct level moves by
+    a bump in [-4%, +4%], and a negative one makes the projection pool.
+    """
+    n = draw(st.sampled_from([16, 64, 512]))
+    base = discretize(Lognormal(mu=0.875, sigma=0.5), n)
+    utility = HARAUtility(1.0, 5.0, 0.5)
+    levels = draw(st.lists(st.sampled_from([0.5, 0.8, 0.9, 0.95]), max_size=2, unique=True))
+    constraints = tuple(
+        RmConstraint(w, (1.0 + draw(st.floats(-0.04, 0.04))) * eval_rm(base, w))
+        for w in (es_weight(a, n) for a in levels)
+    )
+    floor = (1.0 + draw(st.floats(-0.005, 0.03))) * expected_utility(base, utility)
+    return base, UtilityRm(utility=utility, floor=floor, constraints=constraints)
+
+
 class TestSolveIntegral:
     def test_all_slack(self, lognormal_grid):
         m, _ = mean_sd(lognormal_grid)
@@ -447,7 +469,8 @@ class TestSolveIntegral:
             with pytest.raises(ValidationError, match="length differs from the grid"):
                 solve_integral(lognormal_grid, spec)
 
-    def test_budget_exhaustion_reports_nonnegative_multipliers(self, lognormal_grid):
+    def test_budget_exhaustion_reports_nonnegative_multipliers(self, lognormal_grid, monkeypatch):
+        monkeypatch.setattr(stress_solvers, "MAX_ITER", 0)
         m, _ = mean_sd(lognormal_grid)
         spec = IntegralStress(
             linear=(
@@ -456,7 +479,7 @@ class TestSolveIntegral:
             )
         )
         with pytest.raises(NotConvergedError) as info:
-            solve_integral(lognormal_grid, spec, max_iter=0)
+            solve_integral(lognormal_grid, spec)
         assert np.all(info.value.multipliers >= 0.0)
         assert info.value.residuals is not None
 
@@ -508,6 +531,28 @@ class TestSolveVar:
 
 
 class TestSolveUtilityRm:
+    @pytest.mark.parametrize("with_es", [False, True])
+    def test_against_slsqp_oracle(self, with_es):
+        # a binding floor 1% above the baseline's expected utility, alone or
+        # with ES at 0.8 raised 2%; the floor is an SLSQP inequality
+        base = discretize(Lognormal(7.0 / 8.0, 0.5), 64)
+        u = HARAUtility(1.0, 5.0, 0.5)
+        floor = 1.01 * expected_utility(base, u)
+        w = es_weight(0.8, 64)
+        es = (RmConstraint(w, 1.02 * eval_rm(base, w)),) if with_es else ()
+        model = solve_utility_rm(base, UtilityRm(u, floor, es), tol=1e-10)
+        assert model.multipliers[0] > 0.0
+        oracle = _slsqp_nearest(base, _rm_equalities(es), [
+            (lambda g: float(np.mean(u.value(g))) - floor, lambda g: u.marginal(g) / g.size)])
+        _assert_matches_oracle(base, model, oracle, atol=1e-7)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(utility_stresses())
+    def test_kkt_certificate(self, stress):
+        base, spec = stress
+        tol = 1e-9
+        assert_utility_kkt(base.q, spec, solve_utility_rm(base, spec, tol=tol), tol)
+
     def test_slack_utility_is_identity(self, lognormal_grid):
         u = HARAUtility(1.0, 5.0, 0.5)
         floor = expected_utility(lognormal_grid, u) - 0.1
