@@ -512,6 +512,14 @@ def _s_function(tag, where: str):
     )
 
 
+def _delta_measures(samples, column: str, weight_sets: dict) -> list[float]:
+    """The unweighted delta measure of one input column, then one per stress."""
+    try:
+        return delta_measure(samples.Y, samples.column(column), [None, *weight_sets.values()])
+    except ValidationError as exc:
+        raise ValidationError(f"delta measure of input {column!r}: {exc}") from exc
+
+
 def run_sensitivity(config: dict) -> tuple[int, str]:
     chash = config_hash(config)
     where = "sensitivity"
@@ -535,7 +543,7 @@ def run_sensitivity(config: dict) -> tuple[int, str]:
     weight_sets = {name: rn_weights(samples, baseline_spec, solve(baseline, s, zeta=zeta).stressed)
                    for name, s in stresses.items()}
     # per input: the unweighted delta, then one per stress, from one call
-    deltas = {col: delta_measure(samples.Y, samples.column(col), [None, *weight_sets.values()])
+    deltas = {col: _delta_measures(samples, col, weight_sets)
               for col in samples.columns} if want_delta else {}
     # each s-vector is built once, one at a time, and reweighted by every stress
     s_vectors = chain(

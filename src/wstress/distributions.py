@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv, gammaln, ndtri, xlogy
 
 from .errors import DegenerateGridError, ValidationError
 from .kde import kde_density, silverman_bandwidth
@@ -42,6 +42,7 @@ DEFAULT_GRID_N = 4096
 MIN_GRID_N = 16
 DENSITY_FLOOR = 1e-12
 FLAT_REL_TOL = 1e-9
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 def midpoint_grid(n: int) -> np.ndarray:
@@ -85,8 +86,30 @@ class QuantileGrid:
         return self.q.size
 
 
+def _scaled_pdf(standard_pdf, y, loc, scale, lower):
+    """Density at ``y`` of ``loc + scale * X``, where X has ``standard_pdf`` on [lower, inf].
+
+    The arithmetic of scipy's generic continuous laws: the standard density
+    at ``x = (y - loc) / scale``, divided by ``scale``, on the closed support
+    ``x >= lower``; 0 below it and NaN at NaN.  A scalar ``y`` gives a scalar.
+    """
+    x = (np.asarray(y, dtype=float) - loc) / scale
+    out = np.where(np.isnan(x), np.nan, 0.0)
+    inside = x >= lower
+    out[inside] = standard_pdf(x[inside]) / scale
+    return out if out.ndim else out[()]
+
+
 @dataclass(frozen=True)
 class Lognormal:
+    """Lognormal law of ``exp(mu + sigma * Z)``, Z standard normal.
+
+    Closed forms on ``scipy.special``: the quantile is
+    ``exp(sigma * ndtri(u)) * exp(mu)``; the density at y is
+    ``exp(-log(x)**2 / (2 sigma**2) - log(sigma x sqrt(2 pi))) / exp(mu)``
+    with ``x = y / exp(mu)``, and 0 at and below 0.
+    """
+
     mu: float
     sigma: float
 
@@ -95,14 +118,24 @@ class Lognormal:
             raise ValidationError("lognormal requires finite mu and sigma > 0")
 
     def quantile(self, u):
-        return stats.lognorm.ppf(u, s=self.sigma, scale=math.exp(self.mu))
+        return np.exp(self.sigma * ndtri(u)) * math.exp(self.mu)
+
+    def _standard_pdf(self, x):
+        logpdf = np.full_like(x, -np.inf)
+        pos = x != 0
+        xp, s = x[pos], self.sigma
+        logpdf[pos] = -np.log(xp) ** 2 / (2 * (s * s)) - np.log(s * xp * _SQRT_2PI)
+        return np.exp(logpdf)
 
     def pdf(self, y):
-        return stats.lognorm.pdf(y, s=self.sigma, scale=math.exp(self.mu))
+        return _scaled_pdf(self._standard_pdf, y, 0.0, math.exp(self.mu), 0.0)
 
 
 @dataclass(frozen=True)
 class Normal:
+    """Normal law; the quantile is ``ndtri(u) * sigma + mu`` and the density
+    ``exp(-x**2 / 2) / sqrt(2 pi) / sigma`` with ``x = (y - mu) / sigma``."""
+
     mu: float
     sigma: float
 
@@ -111,15 +144,22 @@ class Normal:
             raise ValidationError("normal requires finite mu and sigma > 0")
 
     def quantile(self, u):
-        return stats.norm.ppf(u, loc=self.mu, scale=self.sigma)
+        return ndtri(u) * self.sigma + self.mu
 
     def pdf(self, y):
-        return stats.norm.pdf(y, loc=self.mu, scale=self.sigma)
+        return _scaled_pdf(lambda x: np.exp(-x**2 / 2.0) / _SQRT_2PI, y, self.mu, self.sigma,
+                           -np.inf)
 
 
 @dataclass(frozen=True)
 class Gamma:
-    """Gamma distribution parameterised by shape and *rate*, plus a shift."""
+    """Gamma distribution parameterised by shape and *rate*, plus a shift.
+
+    Closed forms on ``scipy.special``, with shape k and scale ``1 / rate``:
+    the quantile is ``gammaincinv(k, u) * scale + shift``; the density at y
+    is ``exp(xlogy(k - 1, x) - x - gammaln(k)) / scale`` with
+    ``x = (y - shift) / scale``, and 0 below the shift.
+    """
 
     shape: float
     rate: float
@@ -137,10 +177,14 @@ class Gamma:
             raise ValidationError("gamma requires shape > 0, rate > 0, finite shift")
 
     def quantile(self, u):
-        return stats.gamma.ppf(u, a=self.shape, scale=1.0 / self.rate, loc=self.shift)
+        return gammaincinv(self.shape, u) * (1.0 / self.rate) + self.shift
+
+    def _standard_pdf(self, x):
+        k = self.shape
+        return np.exp(xlogy(k - 1.0, x) - x - gammaln(k))
 
     def pdf(self, y):
-        return stats.gamma.pdf(y, a=self.shape, scale=1.0 / self.rate, loc=self.shift)
+        return _scaled_pdf(self._standard_pdf, y, self.shift, 1.0 / self.rate, 0.0)
 
 
 @dataclass(frozen=True)

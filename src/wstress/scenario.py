@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaincinv, ndtr
 
 from .distributions import DEFAULT_GRID_N, Empirical, discretize
 from .errors import ValidationError
@@ -112,14 +112,11 @@ def generate(config: SpatialConfig) -> ScenarioOutput:
         else:
             factor = _copula_factor(correlation_matrix(config.locations, theta))
             correlated[rows] = z[rows] @ factor.T
-    uniforms = stats.norm.cdf(correlated)
+    uniforms = ndtr(correlated)
     losses = np.empty_like(uniforms)
     for m in range(N_LOCATIONS):
         rate = MARGINAL_RATE_PER_LOCATION / (m + 1)
-        losses[:, m] = (
-            stats.gamma.ppf(uniforms[:, m], a=MARGINAL_SHAPE, scale=1.0 / rate)
-            + MARGINAL_SHIFT
-        )
+        losses[:, m] = gammaincinv(MARGINAL_SHAPE, uniforms[:, m]) * (1.0 / rate) + MARGINAL_SHIFT
     columns = tuple(f"L{m + 1}" for m in range(N_LOCATIONS))
     samples = SampleSet(X=losses, Y=losses.sum(axis=1), columns=columns)
     return ScenarioOutput(samples=samples, theta=regimes, config=config)

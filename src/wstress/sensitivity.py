@@ -196,7 +196,10 @@ def _delta_sorted(ys, y_order, x_order, x_rank_y, wset) -> float:
     for b in range(DELTA_BINS):
         members = by_bin[edges[b] : edges[b + 1]]
         if members.size < DELTA_MIN_PER_BIN:
-            raise ValidationError(f"bin {b} holds fewer than {DELTA_MIN_PER_BIN} samples")
+            raise ValidationError(
+                f"bin {b} of {DELTA_BINS} holds {members.size} samples; "
+                f"each needs DELTA_MIN_PER_BIN = {DELTA_MIN_PER_BIN}"
+            )
         wb = wy[members]
         if wb.sum() <= 0.0:
             continue

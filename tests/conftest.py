@@ -169,6 +169,64 @@ def assert_integral_kkt(baseline_q, spec, model, tol):
     np.testing.assert_allclose(x, fit, rtol=1e-12, atol=1e-12 * float(np.abs(q).max()))
 
 
+def _assert_isotonic_fit(x, values, ulps=4):
+    """``x`` is the unit-weight isotonic regression of ``values`` to ``ulps`` of max|x|."""
+    ends, means = pav_loop_blocks(np.asarray(values, dtype=float), np.ones(x.size))
+    fit = np.repeat(means, np.diff(ends, prepend=0))
+    gap = float(np.abs(x - fit).max())
+    assert gap <= ulps * np.spacing(float(np.abs(x).max())), f"stationarity gap {gap:.3g}"
+
+
+def _assert_targets_met(achieved, targets, scale, tol):
+    gap = np.asarray(achieved) - np.asarray(targets)
+    assert np.all(np.abs(gap) <= tol * scale), f"target missed by {np.abs(gap).max():.3g}"
+
+
+def assert_rm_kkt(baseline_q, spec, model, tol):
+    """KKT certificate of ``model`` as the solution of the risk-measure stress ``spec``.
+
+    The problem is ``min mean (x - q)**2`` over nondecreasing ``x`` subject to
+    ``mean(gamma_k * x) = c_k``.  With multipliers ``lam`` of either sign,
+    its stationarity condition says ``x`` is the isotonic regression of
+    ``q + sum lam_k gamma_k``, computed here by ``pav_loop_blocks`` and met to
+    a few ulps.  Every risk measure must hold to ``tol * max(1, |c_k|)``.
+    """
+    q = np.asarray(baseline_q, dtype=float)
+    x, lam = model.stressed.q, model.multipliers
+    assert lam.shape == (len(spec.constraints),)
+    targets = np.asarray([c.target for c in spec.constraints])
+    _assert_targets_met([np.mean(c.weight.values * x) for c in spec.constraints], targets,
+                        np.maximum(1.0, np.abs(targets)), tol)
+    _assert_isotonic_fit(x, q + sum((m * c.weight.values for m, c in zip(lam, spec.constraints)),
+                                    np.zeros(q.size)))
+
+
+def assert_mean_var_kkt(baseline_q, spec, model, tol):
+    """KKT certificate of ``model`` as the solution of the mean-variance stress ``spec``.
+
+    The problem is ``min mean (x - q)**2`` over nondecreasing ``x`` subject to
+    ``mean(x) = m``, ``sd(x) = s`` and ``mean(gamma_k * x) = c_k``.  With
+    multipliers ``(lam0, lam1, mu)``, its stationarity condition says ``x`` is
+    the isotonic regression of the affine map
+    ``(q + lam0 + lam1 * m + sum mu_k gamma_k) / (1 + lam1)``, with
+    ``1 + lam1 > 0`` so the map keeps the order of the projection; computed
+    here by ``pav_loop_blocks`` and met to a few ulps.  Every target must hold
+    to ``tol * max(1, |target|, s)``, as the solver scales its residuals.
+    """
+    q = np.asarray(baseline_q, dtype=float)
+    x, lam = model.stressed.q, model.multipliers
+    assert lam.shape == (2 + len(spec.constraints),)
+    assert 1.0 + lam[1] > 0.0, f"scale multiplier {lam[1]:.3g} reverses the projection"
+    targets = np.asarray([spec.mean, spec.sd, *(c.target for c in spec.constraints)])
+    achieved = [np.mean(x), np.sqrt(np.mean((x - np.mean(x)) ** 2)),
+                *(np.mean(c.weight.values * x) for c in spec.constraints)]
+    _assert_targets_met(achieved, targets, np.maximum(np.maximum(1.0, np.abs(targets)), spec.sd),
+                        tol)
+    shifted = q + lam[0] + lam[1] * spec.mean + sum(
+        (m * c.weight.values for m, c in zip(lam[2:], spec.constraints)), np.zeros(q.size))
+    _assert_isotonic_fit(x, shifted / (1.0 + lam[1]))
+
+
 def assert_utility_kkt(baseline_q, spec, model, tol):
     """KKT certificate of ``model`` as the solution of the utility stress ``spec``.
 

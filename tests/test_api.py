@@ -1,8 +1,13 @@
-"""Every exported name resolves, so a deleted function cannot stay listed."""
+"""Every exported name resolves, so a deleted function cannot stay listed, and
+importing the package leaves scipy.stats out."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -36,3 +41,14 @@ def test_package_exports_resolve_to_declared_names():
             continue
         assert namespace[name] is obj
         assert name in declared, f"wstress.{name} is in no module's __all__"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is the tests' reference only; a cold start must not pay for it
+    src = str(Path(wstress.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    code = "import sys, wstress, wstress.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from wstress import cli
 from wstress.distributions import Lognormal, discretize
+from wstress.sensitivity import DELTA_MIN_PER_BIN
 from wstress.cli import (
     EXIT_NO_SOLUTION,
     EXIT_NOT_CONVERGED,
@@ -650,6 +651,27 @@ class TestPartialOutput:
         }
         assert main(["sensitivity", str(write_config(tmp_path, config))]) == 1
         assert "need at least 1000 samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_delta_bin_too_small_names_input_and_count(self, tmp_path, capsys):
+        # 1000 samples pass the 20 x 50 check, but the stressed weights leave
+        # one of their equal-probability bins of L1 with 49 samples
+        sim = tmp_path / "sim"
+        assert main(["simulate", str(write_config(tmp_path, {
+            "out": str(sim), "input": {"scenario": {"n_samples": 1000}}}))]) == 0
+        out = tmp_path / "out"
+        config = {
+            "out": str(out),
+            "zeta": 1e-4,
+            "input": {"csv": str(sim / "samples.csv")},
+            "stresses": [{"name": "es_up", "kind": "rm",
+                          "constraints": [{"gamma": "es", "alpha": 0.95, "bump": 0.1}]}],
+            "sensitivity": {"delta": True},
+        }
+        assert main(["sensitivity", str(write_config(tmp_path, config))]) == 1
+        err = capsys.readouterr().err
+        assert "delta measure of input 'L1': bin 1 of 20 holds 49 samples" in err
+        assert f"DELTA_MIN_PER_BIN = {DELTA_MIN_PER_BIN}" in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,6 +65,68 @@ class TestDiscretize:
         # reconstructed CDF within 1/n of the ECDF in sup norm at the knots
         ecdf = np.searchsorted(np.sort(sample), grid.q, side="right") / sample.size
         assert np.abs(ecdf - grid.u).max() <= 1.0 / n + 1e-12
+
+
+def _scipy_law(spec):
+    """The scipy.stats law whose arithmetic a baseline's closed forms copy."""
+    if isinstance(spec, Lognormal):
+        return stats.lognorm(s=spec.sigma, scale=math.exp(spec.mu))
+    if isinstance(spec, Normal):
+        return stats.norm(loc=spec.mu, scale=spec.sigma)
+    return stats.gamma(a=spec.shape, scale=1.0 / spec.rate, loc=spec.shift)
+
+
+def _assert_same(got, want):
+    """Equal values, NaN where NaN, and the sign of every zero."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    numbers = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[numbers]), np.signbit(want[numbers]))
+
+
+PARAMETRIC = [
+    Lognormal(0.875, 0.5),
+    Lognormal(-2.0, 1.7),
+    Normal(1.0, 3.0),
+    Gamma(2.0, 0.5),
+    Gamma(0.7, 3.0, shift=-1.5),
+    Gamma(1.0, 1.0),
+    Gamma(5.0, 0.2, shift=25.0),
+]
+
+
+@pytest.mark.parametrize("spec", PARAMETRIC, ids=repr)
+class TestClosedFormsMatchScipyStats:
+    """The closed forms on scipy.special equal scipy.stats bit for bit."""
+
+    EDGES_U = np.array([0.0, -0.0, 1.0, np.nan, -0.5, 1.5, 1e-300, 1.0 - 1e-16])
+
+    def test_quantile(self, spec):
+        u = np.concatenate([midpoint_grid(257), midpoint_grid(4096), self.EDGES_U,
+                            np.random.default_rng(3).uniform(size=2000)])
+        with np.errstate(invalid="ignore"):
+            _assert_same(spec.quantile(u), _scipy_law(spec).ppf(u))
+
+    def test_pdf(self, spec):
+        law = _scipy_law(spec)
+        edge = law.ppf(0.0)  # 0, the shift, or -inf
+        y = np.concatenate([
+            law.ppf(midpoint_grid(4096)),
+            [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf), edge - 1.0,
+             0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300],
+            np.linspace(-5.0, 60.0, 2001),
+        ])
+        with np.errstate(all="ignore"):
+            _assert_same(spec.pdf(y), law.pdf(y))
+
+    @pytest.mark.parametrize("x", [0.3, 0.0, -0.0, 7.5])
+    def test_scalar_in_scalar_out(self, spec, x):
+        law = _scipy_law(spec)
+        with np.errstate(all="ignore"):
+            for got, want in ((spec.quantile(x), law.ppf(x)), (spec.pdf(x), law.pdf(x))):
+                assert type(got) is type(want) is np.float64
+                _assert_same(got, want)
 
 
 class TestQuantileGrid:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from wstress import scenario
 from wstress.errors import ValidationError
 from wstress.risk_measures import es_weight, eval_rm, expected_utility, HARAUtility
 from wstress.scenario import (
@@ -61,6 +62,25 @@ class TestGenerate:
         b = generate(SpatialConfig(n_samples=1000, seed=11))
         np.testing.assert_array_equal(a.samples.X, b.samples.X)
         np.testing.assert_array_equal(a.theta, b.theta)
+
+    def test_equals_its_scipy_stats_formulation(self, monkeypatch):
+        # stats.norm.cdf maps the correlated normals, stats.gamma.ppf the marginals
+        config = SpatialConfig(n_samples=2000, seed=13)
+        closed_form = generate(config)
+        uniforms = []
+
+        def norm_cdf(x):
+            uniforms.append(stats.norm.cdf(x))
+            return uniforms[-1]
+
+        monkeypatch.setattr(scenario, "ndtr", norm_cdf)
+        reference = generate(config)
+        np.testing.assert_array_equal(closed_form.samples.X, reference.samples.X)
+        for m in range(scenario.N_LOCATIONS):
+            rate = scenario.MARGINAL_RATE_PER_LOCATION / (m + 1)
+            loss = stats.gamma.ppf(uniforms[0][:, m], a=scenario.MARGINAL_SHAPE, scale=1.0 / rate)
+            np.testing.assert_array_equal(closed_form.samples.X[:, m],
+                                          loss + scenario.MARGINAL_SHIFT)
 
     def test_rank_correlation_decreases_with_distance(self, output_100k):
         config = output_100k.config

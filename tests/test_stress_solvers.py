@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from conftest import assert_integral_kkt, assert_utility_kkt, uniform_grid
+from conftest import (
+    assert_integral_kkt,
+    assert_mean_var_kkt,
+    assert_rm_kkt,
+    assert_utility_kkt,
+    uniform_grid,
+)
 from wstress.distributions import (
     Lognormal,
     QuantileGrid,
@@ -86,6 +92,43 @@ def _assert_matches_oracle(base, model, oracle, atol=1e-8):
     assert np.abs(model.stressed.q - oracle.x).max() <= atol
 
 
+@st.composite
+def feasible_grids(draw):
+    """A lognormal baseline of at most 512 cells and a nondecreasing grid near it.
+
+    The grid ``q + t * max(q - q_k, 0) + c`` bends the baseline's tail above
+    its cell k by a slope factor 1 + t in [0.7, 1.3] and shifts it by c, so
+    any target read off it is feasible.
+    """
+    n = draw(st.sampled_from([16, 64, 512]))
+    base = discretize(Lognormal(mu=0.875, sigma=0.5), n)
+    q = base.q
+    k = int(draw(st.floats(0.3, 0.95)) * n)
+    bent = q + draw(st.floats(-0.3, 0.3)) * np.maximum(q - q[k], 0.0) + draw(st.floats(-0.2, 0.2))
+    return base, QuantileGrid(bent)
+
+
+@st.composite
+def rm_stresses(draw):
+    """One to three ES equalities at distinct levels, with targets read off a feasible grid."""
+    base, bent = draw(feasible_grids())
+    levels = draw(st.lists(st.sampled_from([0.5, 0.8, 0.9, 0.95]), min_size=1, max_size=3,
+                           unique=True))
+    weights = [es_weight(a, base.n) for a in levels]
+    return base, RmStress(tuple(RmConstraint(w, eval_rm(bent, w)) for w in weights))
+
+
+@st.composite
+def mean_var_stresses(draw):
+    """A mean and sd with up to one ES, with targets read off a feasible grid."""
+    base, bent = draw(feasible_grids())
+    m, sd = mean_sd(bent)
+    levels = draw(st.lists(st.sampled_from([0.8, 0.9, 0.95]), max_size=1))
+    weights = [es_weight(a, base.n) for a in levels]
+    return base, MeanVarRm(mean=m, sd=sd,
+                           constraints=tuple(RmConstraint(w, eval_rm(bent, w)) for w in weights))
+
+
 class TestSolveRm:
     @pytest.mark.parametrize("weights_bumps", [
         [(es_weight(0.9, 64), 0.05)],
@@ -100,6 +143,13 @@ class TestSolveRm:
                             for w, b in weights_bumps)
         model = solve_rm(base, RmStress(constraints), tol=1e-10)
         _assert_matches_oracle(base, model, _slsqp_nearest(base, _rm_equalities(constraints)))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rm_stresses())
+    def test_kkt_certificate(self, stress):
+        base, spec = stress
+        tol = 1e-9
+        assert_rm_kkt(base.q, spec, solve_rm(base, spec, tol=tol), tol)
 
     @pytest.mark.parametrize("bump", [0.05, -0.03])
     def test_smoothed_solution_is_a_fixed_point(self, lognormal_grid, bump):
@@ -214,6 +264,13 @@ class TestSolveMeanVarRm:
         left = np.median(curve.f[(curve.y > 5.35) & (curve.y < 5.65)])
         right = np.median(curve.f[(curve.y > 5.85) & (curve.y < 6.10)])
         assert right < 0.5 * left  # the density steps down inside (5.5, 6.1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(mean_var_stresses())
+    def test_kkt_certificate(self, stress):
+        base, spec = stress
+        tol = 1e-9
+        assert_mean_var_kkt(base.q, spec, solve_mean_var_rm(base, spec, tol=tol), tol)
 
     def test_against_slsqp_oracle(self):
         base = discretize(Lognormal(7.0 / 8.0, 0.5), 64)
