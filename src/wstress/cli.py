@@ -96,18 +96,19 @@ class ConfigError(WstressError):
 # configuration reading
 
 _REQUIRED = object()
-#: how ``_get`` names a kind in its messages; the first three are type checks
-_KIND_NAMES = {str: "a string", list: "a list", dict: "a mapping",
+#: how ``_get`` names a kind in its messages
+_KIND_NAMES = {str: "a string", list: "a list", dict: "a mapping", bool: "true or false",
                float: "a number", int: "an integer"}
 
 
 def _get(section, key: str, kind, default=_REQUIRED, where: str = "config"):
     """``section[key]`` as ``kind``: the one place a configuration value is decoded.
 
-    A ``str``, ``list`` or ``dict`` value is type checked; any other ``kind``
-    converts it.  An absent or null key gives ``default`` or, without one, an
-    error.  Errors are :class:`ConfigError` naming ``where`` (the path of
-    ``section``, which must be a mapping) and ``key``.
+    A ``str``, ``list``, ``dict``, ``bool`` or ``int`` value is type checked
+    (an integral float counts as an ``int``); any other ``kind`` converts it,
+    but not from a boolean.  An absent or null key gives ``default`` or,
+    without one, an error.  Errors are :class:`ConfigError` naming ``where``
+    (the path of ``section``, which must be a mapping) and ``key``.
     """
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a mapping, got {section!r}")
@@ -116,7 +117,11 @@ def _get(section, key: str, kind, default=_REQUIRED, where: str = "config"):
     value = section.get(key)
     if value is None and default is not _REQUIRED:
         return default
-    if kind in (str, list, dict):
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)  # 4096.0 is the integer 4096
+    if isinstance(value, bool) != (kind is bool):
+        pass  # true and false are the values of a bool key and of no other
+    elif kind in (str, list, dict, bool, int):
         if isinstance(value, kind):
             return value
     else:

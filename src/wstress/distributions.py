@@ -227,8 +227,6 @@ BaselineSpec = Union[Lognormal, Normal, Gamma, Empirical]
 
 def discretize(spec: BaselineSpec, n: int = DEFAULT_GRID_N) -> QuantileGrid:
     """Sample a baseline's quantile function on the midpoint grid."""
-    if n < MIN_GRID_N:
-        raise ValidationError(f"grid size must be at least {MIN_GRID_N}")
     return QuantileGrid(np.asarray(spec.quantile(midpoint_grid(n)), dtype=float))
 
 

@@ -29,16 +29,14 @@ __all__ = ["as_weights", "pav", "spav", "projection_jacobian"]
 
 
 def as_weights(weights, n: int) -> np.ndarray:
-    """Validate a weight vector: length ``n``, finite, >= 0, not all zero."""
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if w.ndim != 1 or w.size != n:
-        raise ValidationError(f"weights must be a vector of length {n}")
-    if not np.isfinite(w).all():
-        raise ValidationError("weights contain non-finite entries")
-    if np.any(w < 0.0):
-        raise ValidationError("weights must be nonnegative")
-    if not np.any(w > 0.0):
+    """The one weight check: not all zero (nor empty), shape ``(n,)``, finite and >= 0."""
+    w = np.asarray(weights, dtype=float)
+    if not w.any():
         raise ValidationError("weights must not be all zero")
+    if w.shape != (n,):
+        raise ValidationError(f"weights must be a vector of length {n}")
+    if not (w.min() >= 0.0 and np.isfinite(w).all()):  # a NaN fails the min test
+        raise ValidationError("weights must be finite and nonnegative")
     return w
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
+from .isotonic import as_weights
 
 __all__ = ["silverman_bandwidth", "kde_density", "weighted_quantile"]
 
@@ -23,15 +24,8 @@ __all__ = ["silverman_bandwidth", "kde_density", "weighted_quantile"]
 def _normalized_weights(values: np.ndarray, weights) -> np.ndarray:
     if weights is None:
         return np.full(values.size, 1.0 / values.size)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != values.shape:
-        raise ValidationError("weights must match the sample vector in length")
-    if np.any(w < 0.0) or not np.isfinite(w).all():
-        raise ValidationError("weights must be finite and nonnegative")
-    total = w.sum()
-    if total <= 0.0:
-        raise ValidationError("weights must not be all zero")
-    return w / total
+    w = as_weights(weights, values.size)
+    return w / w.sum()
 
 
 def weighted_quantile(values, probs, weights=None):

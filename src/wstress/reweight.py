@@ -25,6 +25,7 @@ from .distributions import (
     excess_jumps,
 )
 from .errors import ValidationError
+from .isotonic import as_weights
 from .kde import kde_density
 
 __all__ = [
@@ -81,14 +82,8 @@ class WeightSet:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("weights must be a nonempty vector")
-        if np.any(w < 0.0) or not np.isfinite(w).all():
-            raise ValidationError("weights must be finite and nonnegative")
+        w = as_weights(self.w, np.size(self.w))
         mean = w.mean()
-        if mean <= 0.0:
-            raise ValidationError("weights must not be all zero")
         if abs(mean - 1.0) > 1e-8:
             w = w / mean
         object.__setattr__(self, "w", w)

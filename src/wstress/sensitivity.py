@@ -155,6 +155,10 @@ def delta_measure(
     if y.shape != x.shape or y.ndim != 1:
         raise ValidationError("output and input must be equally long vectors")
     n = y.size
+    many = isinstance(weights, (list, tuple))
+    sets = weights if many else [weights]
+    if any(wset is not None and wset.n != n for wset in sets):
+        raise ValidationError("weights must match the samples in length")
     if n < DELTA_BINS * DELTA_MIN_PER_BIN:
         raise ValidationError(
             f"need at least {DELTA_BINS * DELTA_MIN_PER_BIN} samples for {DELTA_BINS} bins"
@@ -164,11 +168,7 @@ def delta_measure(
     x_rank = np.empty(n, dtype=np.intp)
     x_rank[x_order] = np.arange(n)
     ys, x_rank_y = y[y_order], x_rank[y_order]
-    many = isinstance(weights, (list, tuple))
-    values = [
-        _delta_sorted(ys, y_order, x_order, x_rank_y, wset)
-        for wset in (weights if many else [weights])
-    ]
+    values = [_delta_sorted(ys, y_order, x_order, x_rank_y, wset) for wset in sets]
     return values if many else values[0]
 
 
@@ -176,8 +176,6 @@ def _delta_sorted(ys, y_order, x_order, x_rank_y, wset) -> float:
     """One delta measure from the y-sorted output and each y-sorted sample's x rank."""
     n = ys.size
     w = np.ones(n) if wset is None else wset.w
-    if w.shape != ys.shape:
-        raise ValidationError("weights must match the samples in length")
     wy = w[y_order]
     lo, hi = weighted_quantile(ys, [0.001, 0.999], wy)
     if hi <= lo:

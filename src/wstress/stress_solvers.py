@@ -468,11 +468,9 @@ def solve_coherent(
     multiple of the weight is already nondecreasing and no projection is
     needed.
     """
-    if weight.n != baseline.n:
-        raise ValidationError("distortion weight grid size differs from baseline")
+    base_value = eval_rm(baseline, weight)
     if not weight.is_nondecreasing:
         raise ValidationError("weight is not nondecreasing: use solve_rm")
-    base_value = eval_rm(baseline, weight)
     if target < base_value - 1e-12 * max(1.0, abs(base_value)):
         raise ValidationError("target below the baseline value: use solve_rm")
     lam = (target - base_value) / float(np.mean(weight.values**2))

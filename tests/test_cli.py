@@ -487,12 +487,79 @@ MALFORMED_CONFIGS = [
      "pair 0"),
     ("missing_csv", ["smooth"], {"smooth": {"csv": "/nonexistent/missing.csv"}},
      "missing.csv"),
+    # a key's value is not converted across types
+    ("delta_string_false", ["sensitivity"], {"sensitivity": {"delta": "false"}}, "'delta'"),
+    ("delta_string_no", ["sensitivity"], {"sensitivity": {"delta": "no"}}, "'delta'"),
+    ("delta_list", ["sensitivity"], {"sensitivity": {"delta": [0]}}, "'delta'"),
+    ("seed_fraction", BOTH, {"seed": 1.5}, "'seed'"),
+    ("n_samples_fraction", (*BOTH, "simulate"),
+     {"input": {"scenario": {"n_samples": 2000.5}}}, "'n_samples'"),
+    ("grid_n_bool", BOTH, {"grid_n": True}, "'grid_n'"),
+    ("zeta_bool", BOTH, {"zeta": True}, "'zeta'"),
+    # every other configuration error the commands raise
+    ("unknown_baseline_kind", BOTH, {"baseline": {"kind": "weibull"}},
+     "unknown baseline kind 'weibull'"),
+    ("unknown_stress_kind", BOTH, {"stresses": [{"name": "s", "kind": "cubic"}]},
+     "stress 's': unknown stress kind 'cubic'"),
+    ("constraint_without_target", BOTH,
+     {"stresses": [{"name": "s", "kind": "rm", "constraints": [{"gamma": "es", "alpha": 0.9}]}]},
+     "stress 's' constraint 0 needs either 'target' or 'bump'"),
+    ("unknown_integral_h", BOTH,
+     {"stresses": [{"name": "s", "kind": "integral", "linear": [{"h": "cubic", "bump": 0.1}]}]},
+     "stress 's' linear 0: unknown integral constraint function 'cubic'"),
+    ("pair_alpha_outside", ["sensitivity"], {"sensitivity": {"pair_alpha": 1.5}},
+     "'pair_alpha' must lie in [0, 1], got 1.5"),
+    ("parametric_without_input", ["sensitivity"], {"input": None},
+     "sensitivity requires input samples"),
+    ("empirical_without_input", BOTH, {"baseline": {"kind": "empirical"}, "input": None},
+     "empirical baseline requires input samples"),
+    ("input_without_source", BOTH, {"input": {"output_column": "Y"}},
+     "input section needs either 'csv' or 'scenario'"),
+    ("smooth_without_csv", ["smooth"], {"smooth": {"column": "Y"}},
+     "smooth needs a CSV path"),
+    ("simulate_too_few_samples", ["simulate"], {"input": {"scenario": {"n_samples": 50}}},
+     "need at least 100 samples"),
 ]
 
 
 class TestConfigErrors:
     def test_missing_file_exits_1(self, capsys):
         assert main(["stress", "/nonexistent/config.yaml"]) == 1
+
+    @pytest.mark.parametrize("text, needle", [
+        ("stresses: [\n", "cannot parse config"),
+        ("- stresses\n- out\n", "config must be a mapping"),
+    ], ids=["yaml_parse_error", "top_level_list"])
+    def test_unreadable_config_exits_1(self, tmp_path, monkeypatch, text, needle, capsys):
+        monkeypatch.chdir(tmp_path)  # where the default out would go
+        cfg = tmp_path / "config.yaml"
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["stress", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("command, needle", [
+        ("stress", "sample file lacks output column 'Y'"),
+        ("smooth", "lacks column 'Y'"),
+    ])
+    def test_csv_without_the_column_exits_1(self, tmp_path, command, needle, capsys):
+        csv_path = tmp_path / "samples.csv"
+        csv_path.write_text("L1,Z\n1.0,2.0\n3.0,4.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        config = {"out": str(out), "input": {"csv": str(csv_path)},
+                  "baseline": {"kind": "empirical"}, "stresses": [RM_STRESS]}
+        assert main([command, str(write_config(tmp_path, config))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and needle in err
+        assert not out.exists()
+
+    def test_integral_floats_are_integers(self, tmp_path):
+        config = {"out": str(tmp_path / "out"), "grid_n": 256.0, "seed": 3.0,
+                  "input": {"scenario": {"n_samples": 500.0}},
+                  "baseline": {"kind": "empirical"}, "stresses": [RM_STRESS]}
+        assert main(["stress", str(write_config(tmp_path, config))]) == EXIT_OK
+        assert "grid_n = 256\n" in (tmp_path / "out" / "summary.txt").read_text()
 
     def test_missing_stresses_exits_1(self, tmp_path, capsys):
         cfg = write_config(

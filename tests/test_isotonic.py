@@ -7,6 +7,8 @@ from conftest import assert_smoothed_isotonic_kkt, pav_loop_blocks, smoothed_iso
 from wstress import isotonic
 from wstress.errors import ValidationError
 from wstress.isotonic import _expand, as_weights, pav, spav
+from wstress.kde import kde_density, silverman_bandwidth, weighted_quantile
+from wstress.reweight import WeightSet
 
 
 class TestPav:
@@ -357,7 +359,40 @@ class TestProjectionJacobian:
         np.testing.assert_allclose(jac, [[inputs.sum()]], rtol=1e-14)
 
 
+N_VALUES = 6
+#: (id, weights, what the error says); the vector of length message names N_VALUES,
+#: or, for a WeightSet, the size of the vector itself
+MALFORMED_WEIGHTS = [
+    ("negative", [1.0, -1.0, 1.0, 1.0, 1.0, 1.0], "weights must be finite and nonnegative"),
+    ("nan", [1.0, np.nan, 1.0, 1.0, 1.0, 1.0], "weights must be finite and nonnegative"),
+    ("inf", [1.0, np.inf, 1.0, 1.0, 1.0, 1.0], "weights must be finite and nonnegative"),
+    ("all_zero", np.zeros(N_VALUES), "weights must not be all zero"),
+    ("empty", [], "weights must not be all zero"),
+    ("wrong_length", np.ones(N_VALUES + 1), f"weights must be a vector of length {N_VALUES}"),
+    ("two_d", np.ones((2, 3)), f"weights must be a vector of length {N_VALUES}"),
+    ("zero_d", 1.0, "weights must be a vector of length"),
+]
+WEIGHT_TAKERS = {
+    "pav": lambda w: pav(np.arange(float(N_VALUES)), w),
+    "kde_density": lambda w: kde_density(np.arange(float(N_VALUES)), np.linspace(0, 5, 16), w),
+    "weighted_quantile": lambda w: weighted_quantile(np.arange(float(N_VALUES)), 0.5, w),
+    "silverman_bandwidth": lambda w: silverman_bandwidth(np.arange(float(N_VALUES)), w),
+    "WeightSet": WeightSet,
+}
+
+
 class TestWeights:
+    @pytest.mark.parametrize("taker, weights, message", [
+        pytest.param(taker, weights, message, id=f"{name}-{case}")
+        for case, weights, message in MALFORMED_WEIGHTS
+        for name, taker in WEIGHT_TAKERS.items()
+        # a WeightSet takes its length from its vector
+        if (case, name) != ("wrong_length", "WeightSet")
+    ])
+    def test_every_taker_rejects_with_one_message(self, taker, weights, message):
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            taker(weights)
+
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             as_weights([-1.0, 1.0], 2)

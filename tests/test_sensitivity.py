@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import histogram_kde
 
+from wstress import sensitivity
 from wstress.errors import ValidationError
 from wstress.kde import weighted_quantile
 from wstress.reweight import WeightSet
@@ -235,7 +236,11 @@ class TestDeltaMeasureWeightSets:
         ]
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
-    def test_weight_length_mismatch_rejected(self, data):
+    def test_weight_length_mismatch_rejected(self, data, monkeypatch):
+        # every set's length is checked up front, so the first set is never computed
         y, x, _ = data
-        with pytest.raises(ValidationError):
+        calls = []
+        monkeypatch.setattr(sensitivity, "kde_density", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValidationError, match="weights must match the samples in length"):
             delta_measure(y, x, [None, WeightSet(np.ones(y.size - 1))])
+        assert calls == []
