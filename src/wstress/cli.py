@@ -25,7 +25,7 @@ import csv
 import hashlib
 import json
 import sys
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -178,20 +178,24 @@ def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
     an unreadable file, a missing data row, a non-numeric cell or a ragged
     row raises :class:`ConfigError`.  The header goes through ``csv.reader``;
     the data lines are parsed in one ``np.loadtxt`` call, which accepts the
-    same quoted cells, CRLF endings and padded cells.
+    same quoted cells, CRLF endings and padded cells.  The lines stream from
+    the file into the parser, so the text is never held whole.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = [ln for ln in fh if ln.strip("\r\n") and not ln.startswith("#")]
+            lines = (ln for ln in fh if ln.strip("\r\n") and not ln.startswith("#"))
+            first = list(islice(lines, 2))
+            if len(first) < 2:
+                raise ConfigError(f"{path} has no data rows")
+            header = [h.strip() for h in next(csv.reader(first[:1]))]
+            try:
+                data = np.loadtxt(chain(first[1:], lines), delimiter=",", quotechar='"',
+                                  comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}: data rows must be numeric and equally long ({exc})") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if len(lines) < 2:
-        raise ConfigError(f"{path} has no data rows")
-    header = [h.strip() for h in next(csv.reader(lines[:1]))]
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", quotechar='"', comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: data rows must be numeric and equally long ({exc})") from exc
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: {data.shape[1]} data columns under {len(header)} names")
     return header, data
@@ -352,11 +356,14 @@ def build_stress(entry: dict, baseline: QuantileGrid, where: str = "stress"):
 # output helpers
 
 
-def _column_cells(column) -> tuple[list, str]:
-    """A column's cells as a list, with the ``%`` conversion that writes them."""
+def _column_cells(column) -> tuple[list | np.ndarray, str]:
+    """A column's cells, with the ``%`` conversion that writes them.
+
+    A numeric array stays an array, so ``_write_csv`` holds one chunk of it at a
+    time as Python numbers, which format faster than numpy scalars, to the same text.
+    """
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        # plain Python numbers format faster than numpy scalars, to the same text
-        return column.tolist(), "%.17g"
+        return column, "%.17g"
     cells = list(column)
     if any(isinstance(v, str) for v in cells):
         return [v if isinstance(v, str) else FLOAT_FMT.format(v) for v in cells], "%s"
@@ -380,6 +387,7 @@ def _write_csv(path: Path, header: list[str], columns: list, hash_line: str | No
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
             chunk = [col[start : start + CSV_CHUNK_ROWS] for col in columns]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
             rows = min(CSV_CHUNK_ROWS, n_rows - start)
             fh.write((row_fmt * rows) % tuple(chain.from_iterable(zip(*chunk))))
 

@@ -101,19 +101,20 @@ def generate(config: SpatialConfig) -> ScenarioOutput:
     rng = np.random.default_rng(config.seed)
     n = config.n_samples
     regimes = rng.choice(len(THETA_VALUES), size=n, p=THETA_PROBS)
-    z = rng.standard_normal((n, N_LOCATIONS))
-    correlated = np.empty_like(z)
+    # one (n, N_LOCATIONS) array goes from normals to correlated normals to
+    # losses in place; the regimes' rows are disjoint, so each reads only its
+    # own untouched normals
+    losses = rng.standard_normal((n, N_LOCATIONS))
     for r, theta in enumerate(THETA_VALUES):
         rows = regimes == r
         if not rows.any():
             continue
         if theta == 0.0:
-            correlated[rows] = z[rows, 0][:, None]
+            losses[rows] = losses[rows, 0][:, None]
         else:
             factor = _copula_factor(correlation_matrix(config.locations, theta))
-            correlated[rows] = z[rows] @ factor.T
-    uniforms = ndtr(correlated)
-    losses = np.empty_like(uniforms)
+            losses[rows] = losses[rows] @ factor.T
+    uniforms = ndtr(losses)
     for m in range(N_LOCATIONS):
         rate = MARGINAL_RATE_PER_LOCATION / (m + 1)
         losses[:, m] = gammaincinv(MARGINAL_SHAPE, uniforms[:, m]) * (1.0 / rate) + MARGINAL_SHIFT
