@@ -274,26 +274,23 @@ class DensityCurve:
 def cdf_and_density(grid: QuantileGrid, value_grid_size: int = DEFAULT_GRID_N) -> DensityCurve:
     """Recover the CDF and density of a quantile grid.
 
-    The CDF is the normalised count (1/n) * #{i : q_i <= y} with linear
-    interpolation between distinct grid values; the density is its central
-    finite difference on an equally spaced value grid spanning [q_1, q_n].
-    Flat quantile segments (atoms) become density spikes spread over the
-    local knot gap.  A quantile jump spreads its cell's 1/n mass evenly over
-    the gap, so the density there is about 1/(n * gap), not zero; only
-    :func:`wstress.reweight.rn_weights` zeroes such gaps.  The density is
-    floored at ``DENSITY_FLOOR``.
+    The CDF is ``np.interp(y, q, u)``, the inverse of the piecewise-linear
+    quantile through ``(q_i, u_i)``; the density is its central finite
+    difference on an equally spaced value grid spanning [q_1, q_n].  An
+    atom of m tied cells is a CDF step of (m - 1)/n at its value (np.interp
+    returns the last tie's u there); one cell's 1/n spreads over the gap
+    below it.  A quantile jump spreads its cell's 1/n evenly over the gap,
+    so the density there is about 1/(n * gap), not zero; only ``rn_weights``
+    zeroes such gaps.  The density is floored at ``DENSITY_FLOOR``.
     """
     q = grid.q
-    n = grid.n
     span = q[-1] - q[0]
     if span <= 1e-12 * max(1.0, abs(q[0])):
         raise DegenerateGridError("constant quantile grid: single atom, no density")
     if value_grid_size < 16:
         raise ValidationError("value grid needs at least 16 points")
-    knots = np.unique(q)
-    counts = np.searchsorted(q, knots, side="right")
     y = np.linspace(q[0], q[-1], value_grid_size)
-    cdf = np.interp(y, knots, counts / n)
+    cdf = np.interp(y, q, grid.u)
     f = np.gradient(cdf, y[1] - y[0])
     integral = float(np.trapezoid(f, y))
     if integral > 0.0:

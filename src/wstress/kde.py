@@ -22,6 +22,8 @@ __all__ = ["silverman_bandwidth", "kde_density", "weighted_quantile"]
 
 
 def _normalized_weights(values: np.ndarray, weights) -> np.ndarray:
+    if values.size == 0:
+        raise ValidationError("values must be a nonempty vector")
     if weights is None:
         return np.full(values.size, 1.0 / values.size)
     w = as_weights(weights, values.size)

@@ -20,7 +20,6 @@ from .distributions import (
     BaselineSpec,
     Empirical,
     QuantileGrid,
-    cdf_and_density,
     discretize,
     excess_jumps,
 )
@@ -84,6 +83,8 @@ class WeightSet:
     def __post_init__(self):
         w = as_weights(self.w, np.size(self.w))
         mean = w.mean()
+        if not mean > 0.0:
+            raise ValidationError("weights are too small: their mean underflows to zero")
         if abs(mean - 1.0) > 1e-8:
             w = w / mean
         object.__setattr__(self, "w", w)
@@ -108,13 +109,13 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
     interpolated to the sample points; the baseline density is floored at
     ``DENSITY_FLOOR`` before division.
 
-    For parametric baselines the stressed density comes from the grid's CDF
-    reconstruction: atoms (flat quantile segments) spread their mass over
-    the local knot gap so weights stay bounded (the grid spacing is
-    reported as ``bin_width``), stress-induced quantile jumps are mass-free
-    and give weight zero (counted in ``zero_weight_count``), and past the
-    outer knots the ratio follows the baseline density shifted by the
-    stress's mean end displacement.  For empirical baselines each sample
+    For parametric baselines the stressed density is the difference quotient
+    of the grid's CDF (as in ``cdf_and_density``) on the value grid: atoms
+    keep their mass in a spike one or two cells wide at their value, so
+    weights stay bounded (the spacing is ``bin_width``), quantile jumps are
+    mass-free and give weight zero (counted in ``zero_weight_count``), and
+    past the outer knots the ratio follows the baseline density shifted by
+    the stress's mean end displacement.  For empirical baselines each sample
     moves by the displacement interpolated at its value (held at the end
     values past the end knots) and both densities are kernel estimates with
     one shared bandwidth.
@@ -151,13 +152,14 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
         # quantile jumps and atoms smear consistently on both sides.
         g_stressed = kde_density(moved, grid, bandwidth=baseline.bandwidth)
     else:
-        curve = cdf_and_density(stressed, DEFAULT_GRID_N)
-        g_stressed = np.interp(grid, curve.y, curve.f, left=0.0, right=0.0)
+        # an atom's CDF step keeps its mass wherever the grid points fall;
+        # a density spike interpolated onto this grid would not
+        dy = float(grid[1] - grid[0])
+        g_stressed = np.gradient(np.interp(grid, stressed.q, stressed.u), dy)
         # Stress-induced quantile jumps are mass-free value intervals: zero
         # the density strictly inside them.  A jump is an increment that
         # dwarfs the baseline increment at the same rank, which leaves
         # natural tail spreading alone.
-        dy = float(grid[1] - grid[0])
         b_inc = np.diff(base_grid.q)
         for u, _ in excess_jumps(stressed, base_grid, 5.0 * (b_inc + dy)):
             j = round(u * stressed.n) - 1

@@ -189,6 +189,27 @@ class TestCdfAndDensity:
         jump = curve.cdf_at(v + 1e-6) - curve.cdf_at(v - 2e-3)
         assert jump == pytest.approx(0.1, abs=0.01)
 
+    def test_atom_above_a_gap_steps_at_its_value(self):
+        # a 5% atom at 1.0 directly above an open gap from 0.9
+        n = 4096
+        u = midpoint_grid(n)
+        q = np.where(u < 0.9, u, np.where(u < 0.95, 1.0, 1.0 + (u - 0.95)))
+        curve = cdf_and_density(QuantileGrid(q), 4096)
+        dy = curve.y[1] - curve.y[0]
+        rise = curve.cdf_at(1.0 + dy) - curve.cdf_at(1.0 - dy)
+        assert rise == pytest.approx(np.mean(q == 1.0), abs=1.0 / n)
+        assert curve.cdf_at(1.0 - dy) - curve.cdf_at(q[q < 1.0].max() + dy) <= 2.0 / n
+
+    def test_interp_on_tied_knots(self):
+        # cdf_and_density's atoms rest on this: below a tie np.interp heads
+        # for the first tie's fp, at the tie it returns the last tie's fp
+        xp = np.array([0.0, 1.0, 1.0, 1.0, 2.0])
+        fp = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        below = np.interp(1.0 - 1e-9, xp, fp)
+        assert below == pytest.approx(0.1, abs=1e-9) and below < 0.1
+        assert np.interp(1.0, xp, fp) == 0.3
+        assert np.interp(1.5, xp, fp) == pytest.approx(0.35, abs=1e-15)
+
     def test_lognormal_density_matches_pdf(self):
         spec = Lognormal(7.0 / 8.0, 0.5)
         grid = discretize(spec, 4096)

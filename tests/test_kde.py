@@ -5,7 +5,7 @@ from conftest import histogram_kde
 import wstress.distributions as distributions
 from wstress.distributions import Empirical, discretize
 from wstress.errors import ValidationError
-from wstress.kde import kde_density, silverman_bandwidth
+from wstress.kde import kde_density, silverman_bandwidth, weighted_quantile
 
 
 def edge_and_outside_samples(grid, rng, n):
@@ -40,6 +40,15 @@ class TestKdeBinning:
         grid = np.linspace(0.0, 1.0, 16)
         with pytest.raises(ValidationError):
             kde_density(np.array([0.2, np.nan, 0.5]), grid, bandwidth=0.1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: kde_density([], np.linspace(0.0, 1.0, 16)),
+        lambda: weighted_quantile([], 0.5),
+        lambda: silverman_bandwidth([]),
+    ], ids=["kde_density", "weighted_quantile", "silverman_bandwidth"])
+    def test_empty_sample_rejected(self, call):
+        with pytest.raises(ValidationError, match="^values must be a nonempty vector"):
+            call()
 
 
 class TestEmpiricalDensityCache:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wstress.distributions import Empirical, Lognormal, discretize
+from wstress.distributions import Empirical, Gamma, Lognormal, discretize
 from wstress.errors import ValidationError
 from wstress import reweight
 from wstress.kde import kde_density, weighted_quantile
@@ -12,13 +12,15 @@ from wstress.reweight import (
     stressed_cdf,
     stressed_expectation,
 )
-from wstress.risk_measures import es_weight, eval_rm, mean_sd, var
+from wstress.risk_measures import es_weight, eval_rm, mean_sd, var, var_plus
 from wstress.stress_solvers import (
     MeanVarRm,
     RmConstraint,
     RmStress,
+    VarStress,
     solve_mean_var_rm,
     solve_rm,
+    solve_var,
 )
 
 
@@ -35,6 +37,10 @@ class TestWeightSet:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             WeightSet(np.array([-0.1, 1.0]))
+
+    def test_rejects_a_mean_that_underflows(self):
+        with pytest.raises(ValidationError, match="mean underflows to zero"):
+            WeightSet(np.array([5e-324, 0.0]))
 
 
 class TestRnWeights:
@@ -61,11 +67,38 @@ class TestRnWeights:
 
         with pytest.warns(UserWarning, match="zero weight"):  # gap above the atom
             w = rn_weights(samples, spec, QuantileGrid(q))
-        # the atom's mass sits in a bin one knot-gap wide just below its value
+        # the atom's mass sits in a spike within a value cell or two of its value
         near_atom = np.abs(samples.Y - atom_value) <= 2 * w.meta["bin_width"]
         assert near_atom.any()
         assert w.w.max() == w.w[near_atom].max()
         assert w.w[near_atom].max() > 5.0
+
+    @pytest.mark.parametrize("spec", [Lognormal(0.0, 0.5), Gamma(2.0, 1.0)],
+                             ids=["lognormal", "gamma"])
+    def test_right_quantile_stress_keeps_its_atom(self, spec):
+        # var_plus(0.9) +5% puts an atom at the target right above a mass-free
+        # jump from the baseline 0.9-quantile, and the weights must carry it.
+        # Seed 113, one uniform in each 1/n stratum: plain draws add a
+        # sampling error of about 3e-3 to `normalisation`, because the atom
+        # rests on a few dozen heavy weights.  Measured (lognormal, gamma):
+        # normalisation 0.99977, 0.99977; share below q90 0.89996, 0.89999;
+        # right 0.905-quantile 1.9913 (target 1.9930), 4.0843 (4.0845).
+        rng = np.random.default_rng(113)
+        n = 100_000
+        y = np.asarray(spec.quantile((np.arange(n) + rng.random(n)) / n))  # sorted
+        base = discretize(spec, 4096)
+        q90 = var_plus(base, 0.9)
+        target = 1.05 * q90
+        stressed = solve_var(base, VarStress(0.9, target, "right")).stressed
+        w = rn_weights(SampleSet(X=y[:, None], Y=y, columns=("X1",)), spec, stressed)
+        assert abs(w.meta["normalisation"] - 1.0) <= 2e-3
+        share = np.cumsum(w.w) / w.w.sum()
+        assert share[y < q90][-1] == pytest.approx(0.9, abs=3e-3)
+        # the stressed CDF is 0.9 all across the jump, so the right quantile
+        # at 0.9 itself flips with the last digits of that share; 0.905 lies
+        # inside the atom ([0.9, 0.916] lognormal, [0.9, 0.914] gamma)
+        right_q = y[np.searchsorted(share, 0.905, side="right")]
+        assert right_q == pytest.approx(target, rel=5e-3)
 
     def test_gap_samples_get_zero_weight_and_flag(self):
         rng = np.random.default_rng(105)
