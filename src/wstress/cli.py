@@ -592,8 +592,8 @@ def run_sensitivity(config: dict) -> tuple[int, str]:
 def run_simulate(config: dict) -> tuple[int, str]:
     chash = config_hash(config)
     sc_config = _scenario_config(config)
-    out_dir = _make_out(config)
     out = generate(sc_config)
+    out_dir = _make_out(config)
     path = out_dir / "samples.csv"
     _write_csv(
         path,

@@ -62,6 +62,8 @@ class SpatialConfig:
             raise ValidationError(f"locations must be a finite ({N_LOCATIONS}, 2) array")
         if self.n_samples < 100:
             raise ValidationError("need at least 100 samples")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "locations", loc)
 
 

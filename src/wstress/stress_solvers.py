@@ -232,7 +232,8 @@ def multiplier_search(
     singular or non-finite or the step fails to reduce the residual, one
     coordinate-wise bisection sweep is used instead.  Residuals are compared
     against ``tol`` after division by ``scale`` (default: ones).  ``lower``
-    optionally bounds multipliers from below (projected steps).
+    optionally bounds multipliers from below (projected steps).  A start
+    that already meets ``tol`` returns at once, after one evaluation.
 
     Raises ``NotConvergedError`` with the best residuals seen if the budget
     of ``max_iter`` outer iterations is exhausted.
@@ -250,14 +251,15 @@ def multiplier_search(
         return np.asarray(residual_fn(l), dtype=float) / sc
 
     r = scaled(lam)
-    best_norm = float(np.abs(r).max())
-    best = (lam.copy(), r.copy())
-    for _ in range(max_iter):
+    best = (np.inf, lam, r)
+    for it in range(max_iter + 1):
         norm = float(np.abs(r).max())
         if norm <= tol:
             return SearchResult(lam, r * sc, evaluations)
-        if norm < best_norm:
-            best_norm, best = norm, (lam.copy(), r.copy())
+        if norm < best[0]:
+            best = (norm, lam, r)
+        if it == max_iter:
+            break
         if jacobian is not None:
             jac = np.asarray(jacobian(lam), dtype=float) / sc[:, None]
         else:
@@ -267,56 +269,45 @@ def multiplier_search(
                 probe = lam.copy()
                 probe[k] += h
                 jac[:, k] = (scaled(probe) - r) / h
-        step = None
         try:
             step = np.linalg.solve(jac, -r)
-            if not np.isfinite(step).all():
-                step = None
         except np.linalg.LinAlgError:
-            step = None
-        accepted = False
-        if step is not None:
-            t = 1.0
-            for _ in range(12):
-                cand = np.maximum(lam + t * step, lo)
-                rc = scaled(cand)
-                cn = float(np.abs(rc).max())
-                if cn < norm or cn <= tol:
-                    lam, r = cand, rc
-                    accepted = True
-                    break
-                t *= 0.5
-        if not accepted:
+            step = np.full(d, np.nan)
+        # damped Newton: halve the step until the residual falls
+        for t in 0.5 ** np.arange(12) if np.isfinite(step).all() else ():
+            cand = np.maximum(lam + t * step, lo)
+            rc = scaled(cand)
+            if float(np.abs(rc).max()) < norm:  # norm > tol: a candidate within tol falls
+                lam, r = cand, rc
+                break
+        else:
             lam, r = _bisection_sweep(scaled, lam, r, lo, tol)
-        if float(np.abs(r).max()) <= tol:
-            return SearchResult(lam, r * sc, evaluations)
-    norm = float(np.abs(r).max())
-    if norm < best_norm:
-        best = (lam, r)
     raise NotConvergedError(
         "multiplier search exhausted its iteration budget",
-        residuals=best[1] * sc,
-        multipliers=best[0],
+        residuals=best[2] * sc,
+        multipliers=best[1],
     )
 
 
 def _bisection_sweep(scaled, lam, r, lo, tol):
     """One pass of per-coordinate bracketing bisection on the residual map."""
     lam = lam.copy()
+
+    def at(k, x):
+        probe = lam.copy()
+        probe[k] = x
+        return scaled(probe)[k]
+
     for k in range(lam.size):
         if abs(r[k]) <= tol:
             continue
-        a = lam[k]
-        fa = r[k]
-        b = None
+        a, fa, b = lam[k], r[k], None
         width = max(1.0, abs(a)) * 0.25
         for _ in range(40):
             for cand in (a + width, max(a - width, lo[k])):
                 if cand == a:
                     continue
-                probe = lam.copy()
-                probe[k] = cand
-                fc = scaled(probe)[k]
+                fc = at(k, cand)
                 if np.sign(fc) != np.sign(fa) or fc == 0.0:
                     b, fb = cand, fc
                     break
@@ -326,20 +317,17 @@ def _bisection_sweep(scaled, lam, r, lo, tol):
         if b is None:
             continue
         # plain bisection: the residual is continuous but only piecewise smooth
-        fa_, fb_ = (fa, fb) if a < b else (fb, fa)
-        xa, xb = min(a, b), max(a, b)
+        xa, xb, fxa = (a, b, fa) if a < b else (b, a, fb)
         for _ in range(60):
             mid = 0.5 * (xa + xb)
-            probe = lam.copy()
-            probe[k] = mid
-            fm = scaled(probe)[k]
+            fm = at(k, mid)
             if abs(fm) <= tol:
                 xa = xb = mid
                 break
-            if np.sign(fm) == np.sign(fa_):
-                xa, fa_ = mid, fm
+            if np.sign(fm) == np.sign(fxa):
+                xa, fxa = mid, fm
             else:
-                xb, fb_ = mid, fm
+                xb = mid
         lam[k] = 0.5 * (xa + xb)
     return lam, scaled(lam)
 
@@ -575,41 +563,29 @@ def solve_var(baseline: QuantileGrid, spec: VarStress) -> StressedModel:
     (or the right quantile downward) has no solution: the minimising
     sequence loses left-continuity in the limit.
     """
-    q = baseline.q
-    n = baseline.n
-    measure = var if spec.kind == "left" else var_plus
+    left = spec.kind == "left"
+    measure = var if left else var_plus
     base = measure(baseline, spec.alpha)
-    if spec.kind == "left":
-        if spec.value > base:
-            raise NoSolutionError(
-                f"no solution: target {spec.value:.6g} exceeds the baseline left "
-                f"quantile {base:.6g} at level {spec.alpha}; a left-quantile "
-                "stress must move the quantile down (use kind='right' or an "
-                "interval risk measure to move it up)"
-            )
-        # midpoints in (alpha_F, alpha]: from the first baseline value at or
-        # above the target up to the last midpoint at or below alpha
-        start = int(np.searchsorted(q, spec.value, side="left"))
-        stop = int(np.floor(spec.alpha * n + 0.5))
-        name = f"var({spec.alpha})"
-    else:
-        if spec.value < base:
-            raise NoSolutionError(
-                f"no solution: target {spec.value:.6g} is below the baseline right "
-                f"quantile {base:.6g} at level {spec.alpha}; a right-quantile "
-                "stress must move the quantile up (use kind='left' or an "
-                "interval risk measure to move it down)"
-            )
-        # midpoints in (alpha, alpha_F]: from the first midpoint above alpha
-        # through the last baseline value at or below the target
-        start = int(np.floor(spec.alpha * n + 0.5))
-        stop = int(np.searchsorted(q, spec.value, side="right"))
-        name = f"var_plus({spec.alpha})"
-    qs = q.copy()
-    if stop > start:
-        qs[start:stop] = spec.value
+    if (spec.value > base) if left else (spec.value < base):
+        verb, way, other, back = ("exceeds", "down", "right", "up") if left else (
+            "is below", "up", "left", "down")
+        raise NoSolutionError(
+            f"no solution: target {spec.value:.6g} {verb} the baseline {spec.kind} "
+            f"quantile {base:.6g} at level {spec.alpha}; a {spec.kind}-quantile "
+            f"stress must move the quantile {way} (use kind='{other}' or an "
+            f"interval risk measure to move it {back})"
+        )
+    # the midpoints between the target's baseline rank and the level: (alpha_F,
+    # alpha] on the left, from the first baseline value at or above the target;
+    # (alpha, alpha_F] on the right, through the last one at or below it
+    level = int(np.floor(spec.alpha * baseline.n + 0.5))
+    rank = int(np.searchsorted(baseline.q, spec.value, side=spec.kind))
+    start, stop = (rank, level) if left else (level, rank)
+    qs = baseline.q.copy()
+    qs[start:stop] = spec.value
     achieved = measure(QuantileGrid(qs), spec.alpha)
-    return _model(baseline, qs, [], [achieved - spec.value], [name], 0.0, 1)
+    return _model(baseline, qs, [], [achieved - spec.value],
+                  [f"{measure.__name__}({spec.alpha})"], 0.0, 1)
 
 
 def _inverse_shifted_marginal(values, utility, lam1):

@@ -232,6 +232,15 @@ class TestSimulateCommand:
         assert meta["seed"] == 3 and meta["n_samples"] == 400
         assert "config_hash" in meta
 
+    @pytest.mark.parametrize("config_seed, flags", [(-3, []), (None, ["--seed", "-3"])])
+    def test_negative_seed_exits_1_and_writes_nothing(self, tmp_path, config_seed, flags, capsys):
+        out = tmp_path / "out"
+        scenario = {"n_samples": 500, "seed": config_seed}
+        config = {"out": str(out), "input": {"scenario": scenario}}
+        assert main(["simulate", str(write_config(tmp_path, config)), *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_theta_frequencies(self, tmp_path):
         config = {
             "out": str(tmp_path / "out"),

@@ -120,6 +120,11 @@ class TestGenerate:
         with pytest.raises(ValidationError):
             SpatialConfig(locations=np.zeros((3, 2)))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            SpatialConfig(seed=seed)
+
 
 class TestTable1Stresses:
     def test_stress_pair(self, output_100k):

@@ -586,6 +586,38 @@ class TestSolveVar:
         with pytest.raises(NoSolutionError):
             solve_var(g, VarStress(alpha=0.9, value=0.85, kind="right"))
 
+    @pytest.mark.parametrize("kind, target, message", [
+        ("left", 100.0, "no solution: target 100 exceeds the baseline left quantile 4.50814 "
+         "at level 0.9; a left-quantile stress must move the quantile down (use "
+         "kind='right' or an interval risk measure to move it up)"),
+        ("right", 0.1, "no solution: target 0.1 is below the baseline right quantile 4.55803 "
+         "at level 0.9; a right-quantile stress must move the quantile up (use "
+         "kind='left' or an interval risk measure to move it down)"),
+    ], ids=["left", "right"])
+    def test_refusal_names_the_side(self, kind, target, message):
+        g = discretize(Lognormal(0.875, 0.5), 256)
+        with pytest.raises(NoSolutionError) as err:
+            solve_var(g, VarStress(alpha=0.9, value=target, kind=kind))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("kind, target, name", [("left", 0.5, "var(0.9)"),
+                                                    ("right", 0.95, "var_plus(0.9)")],
+                             ids=["left", "right"])
+    def test_constraint_name(self, kind, target, name):
+        model = solve_var(uniform_grid(256), VarStress(alpha=0.9, value=target, kind=kind))
+        assert model.constraint_names == (name,)
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.999])
+    @pytest.mark.parametrize("kind", ["left", "right"])
+    def test_baseline_quantile_target_leaves_the_grid(self, kind, alpha):
+        # at these levels the band is empty or one cell already at the target
+        g = discretize(Lognormal(0.875, 0.5), 256)
+        target = (var if kind == "left" else var_plus)(g, alpha)
+        model = solve_var(g, VarStress(alpha=alpha, value=target, kind=kind))
+        np.testing.assert_array_equal(model.stressed.q, g.q)
+        np.testing.assert_array_equal(model.residuals, [0.0])
+        assert model.w2 == 0.0
+
 
 class TestSolveUtilityRm:
     @pytest.mark.parametrize("with_es", [False, True])
@@ -767,6 +799,12 @@ class TestMultiplierSearch:
             multiplier_search(impossible, np.zeros(1), max_iter=5)
         assert err.value.residuals is not None
 
+
+    def test_converged_start_returns_within_a_zero_budget(self):
+        result = multiplier_search(lambda lam: lam - 1.0, [1.0], max_iter=0)
+        np.testing.assert_array_equal(result.multipliers, [1.0])
+        np.testing.assert_array_equal(result.residuals, [0.0])
+        assert result.evaluations == 1
 
     def test_exact_jacobian_solves_a_linear_map_in_one_step(self):
         matrix = np.array([[2.0, 1.0], [0.5, 3.0]])
