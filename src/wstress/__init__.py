@@ -18,6 +18,7 @@ from .distributions import (
 )
 from .errors import (
     DegenerateGridError,
+    InputColumnError,
     NoSolutionError,
     NotConvergedError,
     UtilityDomainError,

@@ -44,7 +44,13 @@ from .distributions import (
     flat_segments,
     midpoint_grid,
 )
-from .errors import NoSolutionError, NotConvergedError, ValidationError, WstressError
+from .errors import (
+    InputColumnError,
+    NoSolutionError,
+    NotConvergedError,
+    ValidationError,
+    WstressError,
+)
 from .isotonic import spav
 from .reweight import SampleSet, rn_weights
 from .risk_measures import (
@@ -361,9 +367,10 @@ def _column_cells(column) -> tuple[list | np.ndarray, str]:
 
     A numeric array stays an array, so ``_write_csv`` holds one chunk of it at a
     time as Python numbers, which format faster than numpy scalars, to the same text.
+    An integer array is written exactly, by ``%d``.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        return column, "%.17g"
+        return column, "%.17g" if column.dtype.kind == "f" else "%d"
     cells = list(column)
     if any(isinstance(v, str) for v in cells):
         return [v if isinstance(v, str) else FLOAT_FMT.format(v) for v in cells], "%s"
@@ -498,7 +505,7 @@ def run_stress(config: dict) -> tuple[int, str]:
                    [curve.y, f_base, curve.f], chash)
         if wset is not None:
             _write_csv(out_dir / f"{name}_weights.csv", ["row_id", "weight"],
-                       [np.arange(wset.n, dtype=float), wset.w], chash)
+                       [np.arange(wset.n), wset.w], chash)
             lines.append(f"zero_weight_count = {wset.meta['zero_weight_count']}")
         else:
             lines.append("weights = not computed (no samples)")
@@ -525,12 +532,15 @@ def _s_function(tag, where: str):
     )
 
 
-def _delta_measures(samples, column: str, weight_sets: dict) -> list[float]:
-    """The unweighted delta measure of one input column, then one per stress."""
+def _delta_measures(samples, weight_sets: dict) -> list[list[float]]:
+    """Per input column: the unweighted delta measure, then one per stress."""
     try:
-        return delta_measure(samples.Y, samples.column(column), [None, *weight_sets.values()])
+        return delta_measure(samples.Y, samples.X, [None, *weight_sets.values()])
+    except InputColumnError as exc:
+        name = samples.columns[exc.column]
+        raise ValidationError(f"delta measure of input {name!r}: {exc.reason}") from exc
     except ValidationError as exc:
-        raise ValidationError(f"delta measure of input {column!r}: {exc}") from exc
+        raise ValidationError(f"delta measure: {exc}") from exc
 
 
 def run_sensitivity(config: dict) -> tuple[int, str]:
@@ -555,9 +565,9 @@ def run_sensitivity(config: dict) -> tuple[int, str]:
     zeta = config["zeta"]
     weight_sets = {name: rn_weights(samples, baseline_spec, solve(baseline, s, zeta=zeta).stressed)
                    for name, s in stresses.items()}
-    # per input: the unweighted delta, then one per stress, from one call
-    deltas = {col: _delta_measures(samples, col, weight_sets)
-              for col in samples.columns} if want_delta else {}
+    # per input: the unweighted delta, then one per stress, all from one call
+    deltas = (dict(zip(samples.columns, _delta_measures(samples, weight_sets)))
+              if want_delta else {})
     # each s-vector is built once, one at a time, and reweighted by every stress
     s_vectors = chain(
         ((col, tag, s_function(samples.column(col)))

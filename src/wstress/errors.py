@@ -9,6 +9,15 @@ class ValidationError(WstressError, ValueError):
     """Inputs violate a documented contract (shape, domain, finiteness)."""
 
 
+class InputColumnError(ValidationError):
+    """A check failed on one column of a multi-input call; ``column`` is its index."""
+
+    def __init__(self, column: int, reason: str):
+        super().__init__(f"input column {column}: {reason}")
+        self.column = column
+        self.reason = reason
+
+
 class DegenerateGridError(WstressError):
     """A quantile grid is constant: the distribution is a single atom."""
 

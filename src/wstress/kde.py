@@ -36,13 +36,17 @@ def weighted_quantile(values, probs, weights=None):
     p = np.atleast_1d(np.asarray(probs, dtype=float))
     if np.any((p < 0.0) | (p > 1.0)):
         raise ValidationError("quantile levels must lie in [0, 1]")
-    w = _normalized_weights(v, weights)
+    out = _quantile(v, p, _normalized_weights(v, weights))
+    return out if np.ndim(probs) else float(out[0])
+
+
+def _quantile(v: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``weighted_quantile``'s arithmetic on normalised weights."""
     order = np.argsort(v, kind="stable")
     cw = np.cumsum(w[order])
     idx = np.searchsorted(cw, p * cw[-1], side="left")
     idx = np.minimum(idx, v.size - 1)
-    out = v[order][idx]
-    return out if np.ndim(probs) else float(out[0])
+    return v[order][idx]
 
 
 def silverman_bandwidth(values, weights=None) -> float:
@@ -52,10 +56,15 @@ def silverman_bandwidth(values, weights=None) -> float:
     the effective size (sum w)**2 / sum w**2.
     """
     v = np.asarray(values, dtype=float)
-    w = _normalized_weights(v, weights)
+    return _bandwidth(v, _normalized_weights(v, weights))
+
+
+def _bandwidth(v: np.ndarray, w: np.ndarray) -> float:
+    """``silverman_bandwidth``'s arithmetic on normalised weights."""
     mean = float(np.sum(w * v))
     sd = float(np.sqrt(max(np.sum(w * (v - mean) ** 2), 0.0)))
-    q25, q75 = weighted_quantile(v, [0.25, 0.75], w)
+    # renormalised, as the public weighted_quantile would
+    q25, q75 = _quantile(v, np.array([0.25, 0.75]), w / w.sum())
     iqr = q75 - q25
     spread = min(sd, iqr / 1.34) if iqr > 0.0 else sd
     if spread <= 0.0:
@@ -84,13 +93,40 @@ def kde_density(values, grid, weights=None, bandwidth=None) -> np.ndarray:
         raise ValidationError("KDE grid must be equally spaced and increasing")
     w = _normalized_weights(v, weights)
     h = silverman_bandwidth(v, w) if bandwidth is None else float(bandwidth)
+    return _binned_density(_grid_cells(v, g), w, h, g)
+
+
+def _subsample_density(values: np.ndarray, cells: np.ndarray, weights: np.ndarray,
+                       grid: np.ndarray) -> np.ndarray:
+    """``kde_density(values, grid, weights)`` with nothing checked.
+
+    For samples whose ``_grid_cells`` are known and weights already checked,
+    with a positive sum.  The arithmetic, renormalisations included, is
+    ``kde_density``'s, so the result is bit-identical.
+    """
+    w = weights / weights.sum()
+    # silverman_bandwidth renormalises the weights kde_density hands it
+    return _binned_density(cells, w, _bandwidth(values, w / w.sum()), grid)
+
+
+def _grid_cells(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Each sample's nearest cell of an equally spaced grid, clipped onto its ends."""
+    dx = grid[1] - grid[0]
+    edges = np.concatenate((grid - 0.5 * dx, [grid[-1] + 0.5 * dx]))
+    clipped = np.clip(values, edges[0], edges[-1])
+    return np.minimum(np.searchsorted(edges, clipped, side="right") - 1, grid.size - 1)
+
+
+def _binned_density(cells: np.ndarray, w: np.ndarray, h: float, grid: np.ndarray) -> np.ndarray:
+    """Normalised weights ``w`` summed into their ``cells`` of ``grid`` and
+    convolved with a Gaussian kernel of bandwidth ``h``, widened to resolve on the grid."""
+    dx = grid[1] - grid[0]
     h = max(h, 0.51 * dx)  # kernel must resolve on the grid
-    edges = np.concatenate((g - 0.5 * dx, [g[-1] + 0.5 * dx]))
-    clipped = np.clip(v, edges[0], edges[-1])
-    cells = np.minimum(np.searchsorted(edges, clipped, side="right") - 1, g.size - 1)
-    hist = np.bincount(cells, weights=w, minlength=g.size)
+    hist = np.bincount(cells, weights=w, minlength=grid.size)
     radius = int(np.ceil(4.0 * h / dx))
     ks = np.arange(-radius, radius + 1) * dx
     kernel = np.exp(-0.5 * (ks / h) ** 2)
     kernel /= kernel.sum() * dx
-    return np.convolve(hist, kernel, mode="same")
+    # the grid's part of the full convolution; mode="same" would return the
+    # kernel's length when the kernel is longer than the grid
+    return np.convolve(hist, kernel)[radius : radius + grid.size]

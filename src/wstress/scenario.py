@@ -9,6 +9,7 @@ state), larger regimes decorrelate distant locations.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +61,8 @@ class SpatialConfig:
         loc = np.asarray(self.locations, dtype=float)
         if loc.shape != (N_LOCATIONS, 2) or not np.isfinite(loc).all():
             raise ValidationError(f"locations must be a finite ({N_LOCATIONS}, 2) array")
+        if not isinstance(self.n_samples, (int, np.integer)):
+            raise ValidationError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 100:
             raise ValidationError("need at least 100 samples")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -99,6 +102,12 @@ def generate(config: SpatialConfig) -> ScenarioOutput:
     regime's copula factor, map to uniforms, and invert the shifted-gamma
     marginals.  The comonotone regime (theta = 0) broadcasts a single shared
     normal instead of factorising its rank-one correlation matrix.
+
+    The marginal inversions, one ``gammaincinv`` call per location, are split
+    between the calling thread and one helper thread (``gammaincinv``
+    releases the interpreter lock); each writes its own columns, so the
+    result does not depend on the split, and the helper has ended before
+    ``generate`` returns.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_samples
@@ -117,12 +126,21 @@ def generate(config: SpatialConfig) -> ScenarioOutput:
             factor = _copula_factor(correlation_matrix(config.locations, theta))
             losses[rows] = losses[rows] @ factor.T
     uniforms = ndtr(losses)
-    for m in range(N_LOCATIONS):
-        rate = MARGINAL_RATE_PER_LOCATION / (m + 1)
-        losses[:, m] = gammaincinv(MARGINAL_SHAPE, uniforms[:, m]) * (1.0 / rate) + MARGINAL_SHIFT
+    half = N_LOCATIONS // 2
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        rest = helper.submit(_invert_marginals, losses, uniforms, range(half, N_LOCATIONS))
+        _invert_marginals(losses, uniforms, range(half))
+        rest.result()
     columns = tuple(f"L{m + 1}" for m in range(N_LOCATIONS))
     samples = SampleSet(X=losses, Y=losses.sum(axis=1), columns=columns)
     return ScenarioOutput(samples=samples, theta=regimes, config=config)
+
+
+def _invert_marginals(losses: np.ndarray, uniforms: np.ndarray, locations: range) -> None:
+    """Write the shifted-gamma quantiles of ``uniforms`` into ``losses``, column by column."""
+    for m in locations:
+        rate = MARGINAL_RATE_PER_LOCATION / (m + 1)
+        losses[:, m] = gammaincinv(MARGINAL_SHAPE, uniforms[:, m]) * (1.0 / rate) + MARGINAL_SHIFT
 
 
 #: Relative bumps (utility, ES@0.8, ES@0.95) of the two standard stresses.

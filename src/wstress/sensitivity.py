@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .kde import kde_density, weighted_quantile
+from .errors import InputColumnError, ValidationError
+from .kde import _grid_cells, _subsample_density, kde_density, weighted_quantile
 from .reweight import WeightSet
 
 __all__ = [
@@ -129,8 +129,8 @@ def delta_measure(
     y,
     x,
     weights: WeightSet | None | Sequence[WeightSet | None] = None,
-) -> float | list[float]:
-    """Moment-independent sensitivity of the output to one input.
+) -> float | list:
+    """Moment-independent sensitivity of the output to one input or to each of several.
 
     Estimator: partition the input into ``DELTA_BINS`` (weighted)
     equal-probability bins by rank, estimate the output density marginally
@@ -141,19 +141,27 @@ def delta_measure(
     makes the estimate invariant under strictly monotone transforms of the
     input.  A bin must hold ``DELTA_MIN_PER_BIN`` samples, so n >= 1000.
 
+    ``x`` is one input vector as long as ``y``, or an ``(n, k)`` array of k
+    inputs; the 2-D form returns a list with one entry per column, each equal
+    to the 1-D call on that column, and raises ``InputColumnError`` for a
+    column with a too-small bin.
     ``weights`` is ``None`` (the unweighted sample), one weight set, or a
-    list or tuple of them; the sequence form returns a list with one value
-    per entry, each equal to the one-set call.  The call sorts y and x
-    once, whatever the number of weight sets: a weight set's bins come from
-    the x order, and one stable argsort of the small integer bin labels
-    taken in y order (a linear radix sort) lists each bin's members in
-    ascending y.  Every weighted quantile and bandwidth below then gets
-    sorted input, on which its stable sort is linear.
+    list or tuple of them; the sequence form gives one value per entry, each
+    equal to the one-set call.
+
+    The call sorts y once, and each input column once, whatever the number
+    of weight sets.  The output side of a weight set (the weighted range, its
+    grid, the marginal KDE and each sample's grid cell) is computed once for
+    all columns.  A column's bins under a weight set come from its x order,
+    and one stable argsort of the small integer bin labels taken in y order
+    (a linear radix sort) lists each bin's members in ascending y; each
+    bin's KDE reuses their grid cells.  Every weighted quantile and bandwidth
+    then gets sorted input, on which its stable sort is linear.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    if y.shape != x.shape or y.ndim != 1:
-        raise ValidationError("output and input must be equally long vectors")
+    if y.ndim != 1 or x.ndim not in (1, 2) or x.shape[0] != y.size:
+        raise ValidationError("output must be a vector, input a vector or matrix of as many rows")
     n = y.size
     many = isinstance(weights, (list, tuple))
     sets = weights if many else [weights]
@@ -164,27 +172,57 @@ def delta_measure(
             f"need at least {DELTA_BINS * DELTA_MIN_PER_BIN} samples for {DELTA_BINS} bins"
         )
     y_order = np.argsort(y, kind="stable")
-    x_order = np.argsort(x, kind="stable")
-    x_rank = np.empty(n, dtype=np.intp)
-    x_rank[x_order] = np.arange(n)
-    ys, x_rank_y = y[y_order], x_rank[y_order]
-    values = [_delta_sorted(ys, y_order, x_order, x_rank_y, wset) for wset in sets]
-    return values if many else values[0]
+    ys = y[y_order]
+    # each weight set's output side, made when first needed, so errors come
+    # in the order of the one-column, one-set calls
+    sides: list[_OutputSide | None] = [None] * len(sets)
+    values = []
+    for j, column in enumerate(x.T if x.ndim == 2 else [x]):
+        x_order = np.argsort(column, kind="stable")
+        x_rank = np.empty(n, dtype=np.intp)
+        x_rank[x_order] = np.arange(n)
+        x_rank_y = x_rank[y_order]
+        per_set = []
+        for k, wset in enumerate(sets):
+            if sides[k] is None:
+                sides[k] = _OutputSide.of(ys, y_order, wset)
+            try:
+                per_set.append(_delta_sorted(sides[k], x_order, x_rank_y))
+            except ValidationError as exc:  # a bin too small for this column
+                if x.ndim == 1:
+                    raise
+                raise InputColumnError(j, str(exc)) from exc
+        values.append(per_set if many else per_set[0])
+    return values if x.ndim == 2 else values[0]
 
 
-def _delta_sorted(ys, y_order, x_order, x_rank_y, wset) -> float:
-    """One delta measure from the y-sorted output and each y-sorted sample's x rank."""
-    n = ys.size
-    w = np.ones(n) if wset is None else wset.w
-    wy = w[y_order]
-    lo, hi = weighted_quantile(ys, [0.001, 0.999], wy)
-    if hi <= lo:
-        raise ValidationError("degenerate output range")
-    grid = np.linspace(lo, hi, DELTA_GRID_SIZE)
+@dataclass(frozen=True)
+class _OutputSide:
+    """What the delta measure needs of y and one weight set, for any input."""
 
-    f_marginal = kde_density(ys, grid, weights=wy)
+    w: np.ndarray  # the weights in sample order
+    wy: np.ndarray  # the weights in y order
+    ys: np.ndarray  # y ascending
+    grid: np.ndarray
+    f_marginal: np.ndarray
+    cells: np.ndarray  # each ys entry's grid cell
 
-    cum = np.cumsum(w[x_order])
+    @classmethod
+    def of(cls, ys, y_order, wset) -> _OutputSide:
+        w = np.ones(ys.size) if wset is None else wset.w
+        wy = w[y_order]
+        lo, hi = weighted_quantile(ys, [0.001, 0.999], wy)
+        if hi <= lo:
+            raise ValidationError("degenerate output range")
+        grid = np.linspace(lo, hi, DELTA_GRID_SIZE)
+        f_marginal = kde_density(ys, grid, weights=wy)
+        return cls(w, wy, ys, grid, f_marginal, _grid_cells(ys, grid))
+
+
+def _delta_sorted(side: _OutputSide, x_order, x_rank_y) -> float:
+    """One delta measure from an output side, the x order and each y-sorted sample's x rank."""
+    n = side.ys.size
+    cum = np.cumsum(side.w[x_order])
     edges = np.searchsorted(cum, np.arange(1, DELTA_BINS) * cum[-1] / DELTA_BINS, side="left")
     edges = np.concatenate(([0], edges + 1, [n]))
     labels = np.repeat(np.arange(DELTA_BINS, dtype=np.min_scalar_type(DELTA_BINS)),
@@ -198,10 +236,10 @@ def _delta_sorted(ys, y_order, x_order, x_rank_y, wset) -> float:
                 f"bin {b} of {DELTA_BINS} holds {members.size} samples; "
                 f"each needs DELTA_MIN_PER_BIN = {DELTA_MIN_PER_BIN}"
             )
-        wb = wy[members]
+        wb = side.wy[members]
         if wb.sum() <= 0.0:
             continue
-        f_bin = kde_density(ys[members], grid, weights=wb)
+        f_bin = _subsample_density(side.ys[members], side.cells[members], wb, side.grid)
         p_bin = wb.sum() / cum[-1]
-        total += p_bin * 0.5 * float(np.trapezoid(np.abs(f_bin - f_marginal), grid))
+        total += p_bin * 0.5 * float(np.trapezoid(np.abs(f_bin - side.f_marginal), side.grid))
     return float(np.clip(total, 0.0, 1.0))

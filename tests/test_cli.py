@@ -827,6 +827,13 @@ class TestCsvWriter:
         _write_csv(tmp_path / "t.csv", header, columns, None)
         assert (tmp_path / "t.csv").read_text() == per_cell_csv(header, columns)
 
+    def test_integer_arrays_are_written_exactly(self, tmp_path):
+        # %.17g would write 2**60 as 1.152921504606847e+18
+        columns = [np.array([0, 7, 2**60, -(2**60)]), np.array([True, False, True, True])]
+        _write_csv(tmp_path / "t.csv", ["i", "b"], columns, None)
+        assert (tmp_path / "t.csv").read_text() == (
+            "i,b\n0,1\n7,0\n1152921504606846976,1\n-1152921504606846976,1\n")
+
     def test_zero_rows_write_header_only(self, tmp_path):
         _write_csv(tmp_path / "a.csv", ["x", "y"], [], "h")
         _write_csv(tmp_path / "b.csv", ["x", "y"], [np.array([]), []], None)

@@ -36,6 +36,21 @@ class TestKdeBinning:
         ref = histogram_kde(v, grid, w, bandwidth=0.05)
         assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_kernel_wider_than_the_grid(self):
+        # 4h spans 180 cells of a 16-point grid: still one value per grid point,
+        # each the truncated-kernel sum of the binned weights
+        grid = np.linspace(0.0, 1.0, 16)
+        dx = grid[1] - grid[0]
+        v = np.array([0.1, 0.5, 0.93, 2.0])
+        h = 3.0
+        ours = kde_density(v, grid, bandwidth=h)
+        ks = np.arange(-180, 181) * dx
+        norm = np.exp(-0.5 * (ks / h) ** 2).sum() * dx
+        centres = grid[np.minimum(np.round(np.clip(v, 0.0, 1.0) / dx).astype(int), 15)]
+        ref = np.exp(-0.5 * ((grid[:, None] - centres[None, :]) / h) ** 2).sum(axis=1) / 4 / norm
+        assert ours.shape == grid.shape
+        np.testing.assert_allclose(ours, ref, rtol=1e-12)
+
     def test_nan_sample_rejected(self):
         grid = np.linspace(0.0, 1.0, 16)
         with pytest.raises(ValidationError):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -124,6 +126,28 @@ class TestGenerate:
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         with pytest.raises(ValidationError, match="seed"):
             SpatialConfig(seed=seed)
+
+    @pytest.mark.parametrize("n_samples", [150.5, "1000"])
+    def test_n_samples_must_be_an_integer(self, n_samples):
+        with pytest.raises(ValidationError, match="^n_samples must be an integer"):
+            SpatialConfig(n_samples=n_samples, seed=1)
+
+    def test_leaves_no_thread_running(self):
+        before = threading.active_count()
+        generate(SpatialConfig(n_samples=2000, seed=17))
+        assert threading.active_count() == before
+
+    def test_same_arrays_from_a_worker_thread(self):
+        config = SpatialConfig(n_samples=5000, seed=19)
+        here = generate(config)
+        there = []
+        worker = threading.Thread(target=lambda: there.append(generate(config)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and len(there) == 1
+        np.testing.assert_array_equal(there[0].samples.X, here.samples.X)
+        np.testing.assert_array_equal(there[0].samples.Y, here.samples.Y)
+        np.testing.assert_array_equal(there[0].theta, here.theta)
 
 
 class TestTable1Stresses:

@@ -3,7 +3,7 @@ import pytest
 from conftest import histogram_kde
 
 from wstress import sensitivity
-from wstress.errors import ValidationError
+from wstress.errors import InputColumnError, ValidationError
 from wstress.kde import weighted_quantile
 from wstress.reweight import WeightSet
 from wstress.sensitivity import (
@@ -244,3 +244,93 @@ class TestDeltaMeasureWeightSets:
         with pytest.raises(ValidationError, match="weights must match the samples in length"):
             delta_measure(y, x, [None, WeightSet(np.ones(y.size - 1))])
         assert calls == []
+
+
+def inputs(n):
+    """Output and three inputs: independent, output-linked, and a tied monotone transform of
+    the first."""
+    rng = np.random.default_rng(53)
+    x0 = rng.normal(size=n)
+    x1 = rng.normal(size=n)
+    y = x0 + 0.7 * x1 + 0.5 * rng.normal(size=n)
+    return y, np.column_stack((x0, x1, np.round(x0**3, 1)))
+
+
+def empty_last_bin(x):
+    """Weights whose last equal-probability bin of ``x`` holds only zero weights.
+
+    Every bin holds n/20 samples: unit weights below, then one sample with a
+    little over a bin's mass, then the top n/20 samples of ``x`` at zero.
+    """
+    n = x.size
+    per_bin = n // 20
+    order = np.argsort(x, kind="stable")
+    w = np.ones(n)
+    w[order[n - per_bin - 1]] = per_bin + 0.5
+    w[order[n - per_bin:]] = 0.0
+    return WeightSet(w)
+
+
+def one_column_calls(y, x, weights):
+    """Each column's 1-D delta measure, or the ValidationError it raises."""
+    out = []
+    for j in range(x.shape[1]):
+        try:
+            out.append(delta_measure(y, x[:, j], weights))
+        except ValidationError as exc:
+            out.append(exc)
+    return out
+
+
+class TestDeltaMeasureColumns:
+    @pytest.mark.parametrize("n", [1000, 20_000])
+    @pytest.mark.parametrize("kind", ["unweighted", "random", "empty_last_bin"])
+    def test_each_column_equals_its_one_column_call(self, n, kind, monkeypatch):
+        y, x = inputs(n)
+        rng = np.random.default_rng(59)
+        weights = {"unweighted": None,
+                   "random": WeightSet(np.exp(0.3 * rng.normal(size=n))),
+                   "empty_last_bin": empty_last_bin(x[:, 0])}[kind]
+        expected = one_column_calls(y, x, [None, weights])
+        failed = [j for j, e in enumerate(expected) if isinstance(e, Exception)]
+        if failed:
+            # equal-probability bins of 1000 samples each hold 50 only without weights
+            assert n == 1000 and kind != "unweighted"
+            with pytest.raises(InputColumnError) as info:
+                delta_measure(y, x, [None, weights])
+            assert info.value.column == failed[0]
+            assert info.value.reason == str(expected[failed[0]])
+            return
+        densities = []
+        real = sensitivity._subsample_density
+        monkeypatch.setattr(sensitivity, "_subsample_density",
+                            lambda *a: densities.append(1) or real(*a))
+        assert delta_measure(y, x, [None, weights]) == expected
+        assert delta_measure(y, x, weights) == [e[1] for e in expected]
+        # the zero-weight bin of the first column is skipped, in both calls
+        skipped = 1 if kind == "empty_last_bin" else 0
+        assert len(densities) == (2 * 3 * 20 - skipped) + (3 * 20 - skipped)
+
+    @pytest.mark.parametrize("n", [1000, 20_000])
+    def test_empty_last_bin_keeps_every_bin_full(self, n):
+        # the shared-order columns hold n/20 samples per bin, so their values exist
+        y, x = inputs(n)
+        weights = empty_last_bin(x[:, 0])
+        got = delta_measure(y, x[:, [0, 2]], weights)
+        assert got == [delta_measure(y, x[:, 0], weights), delta_measure(y, x[:, 2], weights)]
+
+    def test_small_bin_names_its_column(self):
+        # the weights fill column 0's bins exactly; column 1 orders them otherwise
+        y, x = inputs(1000)
+        weights = empty_last_bin(x[:, 0])
+        with pytest.raises(ValidationError, match="bin"):
+            delta_measure(y, x[:, 1], weights)
+        with pytest.raises(InputColumnError, match=r"^input column 1: bin \d+ of 20 holds") as info:
+            delta_measure(y, x, weights)
+        assert info.value.column == 1
+
+    @pytest.mark.parametrize("shape", [(999, 3), (999,), (1001, 3), (1000, 3, 1)])
+    def test_input_shape_must_match_the_output(self, shape):
+        y = np.random.default_rng(61).normal(size=1000)
+        with pytest.raises(ValidationError, match="^output must be a vector"):
+            delta_measure(y, np.ones(shape))
