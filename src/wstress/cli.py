@@ -89,7 +89,7 @@ EXIT_CONFIG = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_NO_SOLUTION = 3
 
-FLOAT_FMT = "{:.17g}"
+FLOAT_FMT = "%.17g"
 #: rows formatted per ``%`` operation by ``_write_csv``; bounds its memory
 CSV_CHUNK_ROWS = 8192
 
@@ -370,19 +370,18 @@ def _column_cells(column) -> tuple[list | np.ndarray, str]:
     An integer array is written exactly, by ``%d``.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        return column, "%.17g" if column.dtype.kind == "f" else "%d"
+        return column, FLOAT_FMT if column.dtype.kind == "f" else "%d"
     cells = list(column)
     if any(isinstance(v, str) for v in cells):
-        return [v if isinstance(v, str) else FLOAT_FMT.format(v) for v in cells], "%s"
-    return cells, "%.17g"
+        return [v if isinstance(v, str) else FLOAT_FMT % v for v in cells], "%s"
+    return cells, FLOAT_FMT
 
 
 def _write_csv(path: Path, header: list[str], columns: list, hash_line: str | None):
-    """Write columns as CSV rows: numbers at 17 significant digits, strings as they are.
+    """Write columns as CSV rows: floats by ``FLOAT_FMT``, strings as they are.
 
-    Rows are formatted ``CSV_CHUNK_ROWS`` at a time by one ``%`` operation;
-    ``%.17g`` gives the same text as ``FLOAT_FMT``.  As with ``zip``, the
-    shortest column sets the row count.
+    Rows are formatted ``CSV_CHUNK_ROWS`` at a time by one ``%`` operation.
+    As with ``zip``, the shortest column sets the row count.
     """
     cells = [_column_cells(c) for c in columns]
     row_fmt = ",".join(fmt for _, fmt in cells) + "\n"
@@ -415,15 +414,15 @@ def _structure_flags(model) -> str:
 
 def _summary_stress_lines(name: str, model) -> list[str]:
     lines = [f"[stress {name}]", "converged = true"]
-    lines.append(f"w2 = {FLOAT_FMT.format(model.w2)}")
-    lines.append(f"zeta = {FLOAT_FMT.format(model.zeta)}")
-    mults = ", ".join(FLOAT_FMT.format(v) for v in model.multipliers)
+    lines.append(f"w2 = {FLOAT_FMT % model.w2}")
+    lines.append(f"zeta = {FLOAT_FMT % model.zeta}")
+    mults = ", ".join(FLOAT_FMT % v for v in model.multipliers)
     lines.append(f"multipliers = [{mults}]")
     if model.multipliers_quadratic.size:
-        mq = ", ".join(FLOAT_FMT.format(v) for v in model.multipliers_quadratic)
+        mq = ", ".join(FLOAT_FMT % v for v in model.multipliers_quadratic)
         lines.append(f"multipliers_quadratic = [{mq}]")
     for cname, res in zip(model.constraint_names, model.residuals):
-        lines.append(f"constraint {cname}: residual = {FLOAT_FMT.format(res)}")
+        lines.append(f"constraint {cname}: residual = {FLOAT_FMT % res}")
     lines.append(f"structure = {_structure_flags(model)}")
     return lines
 
@@ -485,7 +484,7 @@ def run_stress(config: dict) -> tuple[int, str]:
                        f"error_kind = {type(exc).__name__.removesuffix('Error')}",
                        f"error = {exc}"]
             if getattr(exc, "residuals", None) is not None:
-                res = ", ".join(FLOAT_FMT.format(v) for v in np.atleast_1d(exc.residuals))
+                res = ", ".join(FLOAT_FMT % v for v in np.atleast_1d(exc.residuals))
                 failure.append(f"residuals = [{res}]")
             code = _exit_code(exc)
             break
@@ -496,7 +495,7 @@ def run_stress(config: dict) -> tuple[int, str]:
 
     out_dir = _make_out(config)
     lines = [f"config_hash = {chash}", f"grid_n = {grid_n}",
-             f"zeta = {FLOAT_FMT.format(zeta)}"]
+             f"zeta = {FLOAT_FMT % zeta}"]
     for name, model, curve, f_base, wset in solved:
         lines += _summary_stress_lines(name, model)
         _write_csv(out_dir / f"{name}_quantiles.csv", ["u", "baseline_q", "stressed_q"],

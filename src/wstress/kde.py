@@ -21,13 +21,11 @@ from .isotonic import as_weights
 __all__ = ["silverman_bandwidth", "kde_density", "weighted_quantile"]
 
 
-def _normalized_weights(values: np.ndarray, weights) -> np.ndarray:
+def _checked_weights(values: np.ndarray, weights) -> np.ndarray:
+    """The checked weights of nonempty ``values``, ones for ``None``; not normalised."""
     if values.size == 0:
         raise ValidationError("values must be a nonempty vector")
-    if weights is None:
-        return np.full(values.size, 1.0 / values.size)
-    w = as_weights(weights, values.size)
-    return w / w.sum()
+    return np.ones(values.size) if weights is None else as_weights(weights, values.size)
 
 
 def weighted_quantile(values, probs, weights=None):
@@ -36,17 +34,19 @@ def weighted_quantile(values, probs, weights=None):
     p = np.atleast_1d(np.asarray(probs, dtype=float))
     if np.any((p < 0.0) | (p > 1.0)):
         raise ValidationError("quantile levels must lie in [0, 1]")
-    out = _quantile(v, p, _normalized_weights(v, weights))
+    w = _checked_weights(v, weights)
+    out = _quantile(v, p, w / w.sum())
     return out if np.ndim(probs) else float(out[0])
 
 
 def _quantile(v: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``weighted_quantile``'s arithmetic on normalised weights."""
-    order = np.argsort(v, kind="stable")
-    cw = np.cumsum(w[order])
+    if not np.all(v[1:] >= v[:-1]):  # ascending input is its own stable sort; NaN fails here
+        order = np.argsort(v, kind="stable")
+        v, w = v[order], w[order]
+    cw = np.cumsum(w)
     idx = np.searchsorted(cw, p * cw[-1], side="left")
-    idx = np.minimum(idx, v.size - 1)
-    return v[order][idx]
+    return v[np.minimum(idx, v.size - 1)]
 
 
 def silverman_bandwidth(values, weights=None) -> float:
@@ -56,7 +56,8 @@ def silverman_bandwidth(values, weights=None) -> float:
     the effective size (sum w)**2 / sum w**2.
     """
     v = np.asarray(values, dtype=float)
-    return _bandwidth(v, _normalized_weights(v, weights))
+    w = _checked_weights(v, weights)
+    return _bandwidth(v, w / w.sum())
 
 
 def _bandwidth(v: np.ndarray, w: np.ndarray) -> float:
@@ -77,7 +78,8 @@ def kde_density(values, grid, weights=None, bandwidth=None) -> np.ndarray:
     """Gaussian KDE evaluated on an equally spaced grid.
 
     Samples outside the grid are clipped onto its boundary cells; the result
-    integrates to ~1 over the grid up to kernel mass lost at the edges.
+    integrates to ~1 over the grid up to kernel mass lost at the edges.  The
+    bandwidth defaults to the Silverman bandwidth of the weighted samples.
     """
     v = np.asarray(values, dtype=float)
     if np.isnan(v).any():
@@ -91,22 +93,8 @@ def kde_density(values, grid, weights=None, bandwidth=None) -> np.ndarray:
     atol = 4.0 * np.spacing(np.abs(g).max())
     if dx <= 0.0 or not np.allclose(np.diff(g), dx, rtol=1e-8, atol=atol):
         raise ValidationError("KDE grid must be equally spaced and increasing")
-    w = _normalized_weights(v, weights)
-    h = silverman_bandwidth(v, w) if bandwidth is None else float(bandwidth)
-    return _binned_density(_grid_cells(v, g), w, h, g)
-
-
-def _subsample_density(values: np.ndarray, cells: np.ndarray, weights: np.ndarray,
-                       grid: np.ndarray) -> np.ndarray:
-    """``kde_density(values, grid, weights)`` with nothing checked.
-
-    For samples whose ``_grid_cells`` are known and weights already checked,
-    with a positive sum.  The arithmetic, renormalisations included, is
-    ``kde_density``'s, so the result is bit-identical.
-    """
-    w = weights / weights.sum()
-    # silverman_bandwidth renormalises the weights kde_density hands it
-    return _binned_density(cells, w, _bandwidth(values, w / w.sum()), grid)
+    w = _checked_weights(v, weights)
+    return _subsample_density(v, _grid_cells(v, g), w, g, bandwidth)
 
 
 def _grid_cells(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -117,9 +105,17 @@ def _grid_cells(values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(edges, clipped, side="right") - 1, grid.size - 1)
 
 
-def _binned_density(cells: np.ndarray, w: np.ndarray, h: float, grid: np.ndarray) -> np.ndarray:
-    """Normalised weights ``w`` summed into their ``cells`` of ``grid`` and
-    convolved with a Gaussian kernel of bandwidth ``h``, widened to resolve on the grid."""
+def _subsample_density(values: np.ndarray, cells: np.ndarray, weights: np.ndarray,
+                       grid: np.ndarray, bandwidth=None) -> np.ndarray:
+    """``kde_density`` with nothing checked, for samples whose ``_grid_cells`` are known.
+
+    The weights must be checked already, with a positive sum.  Normalised,
+    they are summed into their cells and convolved with a Gaussian kernel of
+    the bandwidth given or else of the Silverman bandwidth on the
+    renormalised weights.
+    """
+    w = weights / weights.sum()
+    h = _bandwidth(values, w / w.sum()) if bandwidth is None else float(bandwidth)
     dx = grid[1] - grid[0]
     h = max(h, 0.51 * dx)  # kernel must resolve on the grid
     hist = np.bincount(cells, weights=w, minlength=grid.size)

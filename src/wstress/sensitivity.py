@@ -155,8 +155,9 @@ def delta_measure(
     all columns.  A column's bins under a weight set come from its x order,
     and one stable argsort of the small integer bin labels taken in y order
     (a linear radix sort) lists each bin's members in ascending y; each
-    bin's KDE reuses their grid cells.  Every weighted quantile and bandwidth
-    then gets sorted input, on which its stable sort is linear.
+    bin's KDE is ``kde_density``'s arithmetic on their grid cells, without
+    its checks.  Every weighted quantile and bandwidth then gets ascending
+    input, which it does not sort again.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)

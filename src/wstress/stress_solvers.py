@@ -382,12 +382,12 @@ def _rm_arrays(baseline, constraints):
 
 
 def _search(baseline, build, residual, scale, names, zeta, tol,
-            lower=None, spent=0, jacobian=None, upper=0):
+            lower=None, jacobian=None, upper=0):
     """Find one multiplier per name in ``names`` with ``residual(build(lam)) = 0``.
 
     ``build`` maps multipliers to the stressed grid and is memoised, so the
     solution is not rebuilt and ``jacobian(lam, stressed)``, if given, reads
-    it; ``spent`` counts the evaluations of a pre-solve.  The first ``upper``
+    it.  The model counts the search's evaluations.  The first ``upper``
     residuals are upper bounds (met when <= 0) with multipliers >= 0, solved
     as the zero of Robinson's normal map in free variables z: lam = max(z, 0)
     and F(z) = residual - min(z, 0), so a bound with z <= 0 is slack by -z.
@@ -409,7 +409,7 @@ def _search(baseline, build, residual, scale, names, zeta, tol,
 
     start = np.zeros(d)
     if upper:
-        start, spent = np.where(bounded, np.minimum(normal_map(start), 0.0), 0.0), spent + 1
+        start = np.where(bounded, np.minimum(normal_map(start), 0.0), 0.0)
     exact = None if jacobian is None else (lambda lam: jacobian(lam, stressed_for(lam)))
     try:
         result = multiplier_search(normal_map, start, scale=scale, tol=tol,
@@ -419,7 +419,7 @@ def _search(baseline, build, residual, scale, names, zeta, tol,
                                 multipliers=lam_of(exc.multipliers)) from exc
     lam = lam_of(result.multipliers)
     return _model(baseline, stressed_for(lam), lam, result.residuals, names, zeta,
-                  spent + result.evaluations)
+                  result.evaluations + bool(upper))
 
 
 def solve_rm(
@@ -598,14 +598,17 @@ def _inverse_shifted_marginal(values, utility, lam1):
     y = np.asarray(values, dtype=float)
     if lam1 == 0.0:
         return y.copy()
-    domain_min = getattr(utility, "domain_min", -np.inf)
+    domain_min = utility.domain_min
+    bounded = np.isfinite(domain_min)
+    # on an unbounded domain the points just inside it are -inf (-inf + 1e-9 * inf is NaN)
+    pad = 1.0 + abs(domain_min) if bounded else 0.0
 
     def nu(x):
         return x - lam1 * utility.marginal(x)
 
-    guess = np.maximum(y, domain_min + 1e-9 * (1.0 + abs(domain_min)))
+    guess = np.maximum(y, domain_min + 1e-9 * pad)
     radius = lam1 * (np.abs(utility.marginal(guess)) + 1.0)
-    lo = np.maximum(y - radius, domain_min + 1e-12 * (1.0 + abs(domain_min)))
+    lo = np.maximum(y - radius, domain_min + 1e-12 * pad)
     hi = y + radius
     for _ in range(80):
         bad_lo = nu(lo) > y
@@ -613,7 +616,8 @@ def _inverse_shifted_marginal(values, utility, lam1):
         if not bad_lo.any() and not bad_hi.any():
             break
         span = np.maximum(hi - lo, 1e-6)
-        lo = np.where(bad_lo, np.maximum(lo - span, domain_min + (lo - domain_min) / 2.0), lo)
+        halfway = domain_min + (lo - domain_min) / 2.0 if bounded else -np.inf
+        lo = np.where(bad_lo, np.maximum(lo - span, halfway), lo)
         hi = np.where(bad_hi, hi + span, hi)
     else:
         raise UtilityDomainError("could not bracket the utility inverse on its domain")
@@ -659,11 +663,10 @@ def solve_utility_rm(
         pre = _model(baseline, _isotonic(baseline.q, zeta), [], [], [], zeta, 1)
     base_util = expected_utility(pre.stressed, spec.utility)
     if base_util >= spec.floor - tol * max(1.0, abs(spec.floor)):
-        return _model(
-            baseline, pre.stressed.q, [0.0, *pre.multipliers],
-            [min(base_util - spec.floor, 0.0), *pre.residuals], names, zeta,
-            pre.evaluations,
-        )
+        return replace(pre, multipliers=np.concatenate(([0.0], pre.multipliers)),
+                       residuals=np.concatenate(([min(base_util - spec.floor, 0.0)],
+                                                 pre.residuals)),
+                       constraint_names=tuple(names))
 
     def build(lam):
         projected = _isotonic(baseline.q + gammas.T @ lam[1:], zeta=zeta)
@@ -675,10 +678,9 @@ def solve_utility_rm(
 
     targets = np.concatenate(([spec.floor], rm_targets))
     lower = np.concatenate(([0.0], np.full(rm_targets.size, -np.inf)))
-    return _search(
-        baseline, build, residual, _target_scale(targets), names,
-        zeta, tol, lower=lower, spent=pre.evaluations,
-    )
+    model = _search(baseline, build, residual, _target_scale(targets), names, zeta, tol,
+                    lower=lower)
+    return replace(model, evaluations=pre.evaluations + model.evaluations)
 
 
 def solve(

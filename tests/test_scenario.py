@@ -132,6 +132,18 @@ class TestGenerate:
         with pytest.raises(ValidationError, match="^n_samples must be an integer"):
             SpatialConfig(n_samples=n_samples, seed=1)
 
+    def test_singular_correlation_factorises(self):
+        # two locations in one place: Cholesky fails on the singular matrix
+        # and the eigendecomposition couples the pair comonotonically
+        loc = default_locations()
+        loc[3] = loc[7]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(correlation_matrix(loc, scenario.THETA_VALUES[1]))
+        out = generate(SpatialConfig(n_samples=2000, seed=5, locations=loc))
+        assert np.isfinite(out.samples.X).all()
+        np.testing.assert_array_equal(np.argsort(out.samples.column("L4")),
+                                      np.argsort(out.samples.column("L8")))
+
     def test_leaves_no_thread_running(self):
         before = threading.active_count()
         generate(SpatialConfig(n_samples=2000, seed=17))

@@ -21,7 +21,7 @@ from wstress.distributions import (
     midpoint_grid,
     wasserstein2,
 )
-from wstress.errors import NoSolutionError, NotConvergedError, ValidationError
+from wstress.errors import NoSolutionError, NotConvergedError, UtilityDomainError, ValidationError
 from wstress import stress_solvers
 from wstress.isotonic import pav, spav
 from wstress.risk_measures import (
@@ -248,6 +248,16 @@ class TestSolveMeanVarRm:
         )
         expected = m + 1.2 * (lognormal_grid.q - m)
         assert np.abs(model.stressed.q - expected).max() <= 1e-6
+
+    def test_scale_guard(self):
+        # the reshaping divides by 1 + lam_scale, about 1 / (spread factor); the
+        # guard on it (1e-6) leaves room for x1e5 and rejects x1e6
+        base = discretize(Lognormal(0.875, 0.5), 512)
+        m, sd = mean_sd(base)
+        with pytest.raises(NotConvergedError, match="scale multiplier pinned near -1"):
+            solve_mean_var_rm(base, MeanVarRm(mean=m, sd=1e6 * sd))
+        model = solve_mean_var_rm(base, MeanVarRm(mean=m, sd=1e5 * sd))
+        assert model.multipliers[1] == pytest.approx(-0.99999, rel=1e-9)
 
     def test_fixed_mean_es_and_spread_bump(self, lognormal_grid):
         # ES pinned to baseline + sd up 20% => density drop inside (5.5, 6.1)
@@ -634,6 +644,29 @@ class TestSolveUtilityRm:
         oracle = _slsqp_nearest(base, _rm_equalities(es), [
             (lambda g: float(np.mean(u.value(g))) - floor, lambda g: u.marginal(g) / g.size)])
         _assert_matches_oracle(base, model, oracle, atol=1e-7)
+
+    @pytest.mark.parametrize("with_es", [False, True])
+    def test_unbounded_domain_binds(self, with_es):
+        # the exponential (CARA) utility is defined on the whole line
+        base = discretize(Lognormal(7.0 / 8.0, 0.5), 64)
+        u = CustomUtility(value_fn=lambda x: -2.0 * np.exp(-x / 2.0),
+                          marginal_fn=lambda x: np.exp(-x / 2.0))
+        base_u = expected_utility(base, u)
+        w = es_weight(0.8, 64)
+        es = (RmConstraint(w, 1.02 * eval_rm(base, w)),) if with_es else ()
+        spec = UtilityRm(u, base_u + 0.01 * abs(base_u), es)
+        model = solve_utility_rm(base, spec, tol=1e-10)
+        assert model.multipliers[0] > 0.0
+        assert_utility_kkt(base.q, spec, model, 1e-10)
+
+    def test_inverse_bracket_stays_in_the_domain(self):
+        # nu(x) = x + 2 on x >= 0: the roots of 0.5 and 1 lie below the domain
+        u = CustomUtility(value_fn=lambda x: -x, marginal_fn=lambda x: -np.ones_like(x),
+                          domain_min=0.0)
+        with pytest.raises(UtilityDomainError, match="could not bracket"):
+            stress_solvers._inverse_shifted_marginal(np.array([0.5, 1.0, 5.0]), u, 2.0)
+        x = stress_solvers._inverse_shifted_marginal(np.array([5.0, 9.0]), u, 2.0)
+        np.testing.assert_array_equal(x, [3.0, 7.0])
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(utility_stresses())
