@@ -29,14 +29,16 @@ __all__ = ["as_weights", "pav", "spav", "projection_jacobian"]
 
 
 def as_weights(weights, n: int) -> np.ndarray:
-    """The one weight check: not all zero (nor empty), shape ``(n,)``, finite and >= 0."""
+    """The one weight check: not all zero (nor empty), shape ``(n,)``, >= 0, with a finite sum."""
     w = np.asarray(weights, dtype=float)
     if not w.any():
         raise ValidationError("weights must not be all zero")
     if w.shape != (n,):
         raise ValidationError(f"weights must be a vector of length {n}")
-    if not (w.min() >= 0.0 and np.isfinite(w).all()):  # a NaN fails the min test
-        raise ValidationError("weights must be finite and nonnegative")
+    with np.errstate(over="ignore"):  # finite entries whose sum overflows fail below
+        total = w.sum()
+    if not (w.min() >= 0.0 and np.isfinite(total)):  # a NaN fails the min test
+        raise ValidationError("weights must be finite and nonnegative, with a finite sum")
     return w
 
 

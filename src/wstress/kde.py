@@ -41,12 +41,11 @@ def weighted_quantile(values, probs, weights=None):
 
 def _quantile(v: np.ndarray, p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``weighted_quantile``'s arithmetic on normalised weights."""
-    if not np.all(v[1:] >= v[:-1]):  # ascending input is its own stable sort; NaN fails here
-        order = np.argsort(v, kind="stable")
-        v, w = v[order], w[order]
-    cw = np.cumsum(w)
+    order = np.argsort(v, kind="stable")
+    cw = np.cumsum(w[order])
     idx = np.searchsorted(cw, p * cw[-1], side="left")
-    return v[np.minimum(idx, v.size - 1)]
+    idx = np.minimum(idx, v.size - 1)
+    return v[order][idx]
 
 
 def silverman_bandwidth(values, weights=None) -> float:

@@ -156,8 +156,7 @@ def delta_measure(
     and one stable argsort of the small integer bin labels taken in y order
     (a linear radix sort) lists each bin's members in ascending y; each
     bin's KDE is ``kde_density``'s arithmetic on their grid cells, without
-    its checks.  Every weighted quantile and bandwidth then gets ascending
-    input, which it does not sort again.
+    its checks.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)

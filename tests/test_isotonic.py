@@ -366,6 +366,7 @@ MALFORMED_WEIGHTS = [
     ("negative", [1.0, -1.0, 1.0, 1.0, 1.0, 1.0], "weights must be finite and nonnegative"),
     ("nan", [1.0, np.nan, 1.0, 1.0, 1.0, 1.0], "weights must be finite and nonnegative"),
     ("inf", [1.0, np.inf, 1.0, 1.0, 1.0, 1.0], "weights must be finite and nonnegative"),
+    ("sum_overflows", np.full(N_VALUES, 1e308), "weights must be finite and nonnegative"),
     ("all_zero", np.zeros(N_VALUES), "weights must not be all zero"),
     ("empty", [], "weights must not be all zero"),
     ("wrong_length", np.ones(N_VALUES + 1), f"weights must be a vector of length {N_VALUES}"),
