@@ -15,7 +15,9 @@ document; ``--seed``, ``--out``, ``--grid-n`` and ``--zeta`` override it.
 Each command reads all of it through ``_get`` before it creates ``out``.
 Every emitted CSV carries the configuration hash in a leading comment line
 (the simulate sample CSV keeps a bare header for interoperability; its hash
-lives in the metadata sidecar).
+lives in the metadata sidecar).  ``simulate`` also writes the parsed sample
+table beside its CSV (``samples.npz``), which later reads use in place of a
+parse while it holds the sha256 of the CSV's bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import csv
 import hashlib
 import json
 import sys
+import zipfile
 from itertools import chain, islice
 from pathlib import Path
 
@@ -92,6 +95,8 @@ EXIT_NO_SOLUTION = 3
 FLOAT_FMT = "%.17g"
 #: rows formatted per ``%`` operation by ``_write_csv``; bounds its memory
 CSV_CHUNK_ROWS = 8192
+#: bytes read per step by ``_sha256``; bounds its memory
+HASH_CHUNK_BYTES = 1 << 20
 
 
 class ConfigError(WstressError):
@@ -176,18 +181,63 @@ def _make_out(config: dict) -> Path:
 # sample and baseline resolution
 
 
+def _sha256(path) -> str:
+    """The sha256 of a file's bytes, read ``HASH_CHUNK_BYTES`` at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(HASH_CHUNK_BYTES), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _copy_path(csv_path) -> Path:
+    """Where the parsed copy of a CSV table lives: beside it, with the suffix ``.npz``."""
+    return Path(csv_path).with_suffix(".npz")
+
+
+def _write_table_copy(csv_path: Path, header: list[str], data: np.ndarray):
+    """Save ``header`` and ``data``, the parse of the CSV at ``csv_path``, with the CSV's sha256."""
+    np.savez(_copy_path(csv_path), header=np.array(header), data=data,
+             csv_sha256=np.array(_sha256(csv_path)), allow_pickle=False)
+
+
+def _read_table_copy(path) -> tuple[list[str], np.ndarray] | None:
+    """The saved parse of the CSV at ``path``, or None unless it is whole and its hash matches.
+
+    A missing or unreadable copy, a missing key, or a header or data of the
+    wrong shape or dtype gives None; only a copy that passes these is
+    checked against the sha256 of the CSV's bytes now.
+    """
+    try:  # np.load leaves a file it opened itself open when the zip is corrupt
+        with open(_copy_path(path), "rb") as fh, np.load(fh, allow_pickle=False) as npz:
+            header, data, sha = npz["header"], npz["data"], npz["csv_sha256"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    fits = (header.ndim == 1 and header.dtype.kind == "U" and data.dtype == np.float64
+            and data.ndim == 2 and data.flags.c_contiguous and data.shape[1] == header.size)
+    if not fits or str(sha) != _sha256(path):
+        return None
+    return header.tolist(), data
+
+
 def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
     """Read a numeric CSV table: a header row, then rows of floats.
 
     Blank lines and lines starting with ``#`` are skipped.  Returns the
     stripped column names and the data as a (rows, columns) float array;
     an unreadable file, a missing data row, a non-numeric cell or a ragged
-    row raises :class:`ConfigError`.  The header goes through ``csv.reader``;
-    the data lines are parsed in one ``np.loadtxt`` call, which accepts the
-    same quoted cells, CRLF endings and padded cells.  The lines stream from
-    the file into the parser, so the text is never held whole.
+    row raises :class:`ConfigError`.  A copy that ``simulate`` saved beside
+    the CSV is returned instead of a parse while the sha256 of the CSV's
+    bytes matches the one it holds; it equals the parse bit for bit.
+    Otherwise the header goes through ``csv.reader`` and the data lines are
+    parsed in one ``np.loadtxt`` call, which accepts the same quoted cells,
+    CRLF endings and padded cells.  The file streams through the hash and
+    the parser, so the text is never held whole.
     """
     try:
+        copy = _read_table_copy(path)
+        if copy is not None:
+            return copy
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = (ln for ln in fh if ln.strip("\r\n") and not ln.startswith("#"))
             first = list(islice(lines, 2))
@@ -506,6 +556,7 @@ def run_stress(config: dict) -> tuple[int, str]:
             _write_csv(out_dir / f"{name}_weights.csv", ["row_id", "weight"],
                        [np.arange(wset.n), wset.w], chash)
             lines.append(f"zero_weight_count = {wset.meta['zero_weight_count']}")
+            lines.append(f"normalisation = {FLOAT_FMT % wset.meta['normalisation']}")
         else:
             lines.append("weights = not computed (no samples)")
     summary = "\n".join(lines + failure) + "\n"
@@ -604,12 +655,12 @@ def run_simulate(config: dict) -> tuple[int, str]:
     out = generate(sc_config)
     out_dir = _make_out(config)
     path = out_dir / "samples.csv"
-    _write_csv(
-        path,
-        [*out.samples.columns, "Y", "theta"],
-        [*out.samples.X.T, out.samples.Y, out.theta],
-        None,
-    )
+    header = [*out.samples.columns, "Y", "theta"]
+    columns = [*out.samples.X.T, out.samples.Y, out.theta]
+    _write_csv(path, header, columns, None)
+    # the table as a parse of the CSV yields it: the 17-digit cells read back exactly,
+    # and column_stack makes the integer theta float
+    _write_table_copy(path, header, np.column_stack(columns))
     meta = {
         "config_hash": chash,
         "seed": sc_config.seed,

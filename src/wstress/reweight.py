@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 ZERO_WEIGHT_WARN_FRACTION = 0.05
+#: largest ``|normalisation - 1|`` that ``rn_weights`` accepts without a warning
+NORMALISATION_WARN = 0.02
 
 
 @dataclass(frozen=True)
@@ -119,6 +121,12 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
     moves by the displacement interpolated at its value (held at the end
     values past the end knots) and both densities are kernel estimates with
     one shared bandwidth.
+
+    The weights' mean before ``WeightSet`` rescales it to one is
+    ``meta["normalisation"]``: about the share of the stressed law that lies
+    where the samples are.  A reweighting cannot move an atom or put mass
+    beyond every sample, so a mean further than ``NORMALISATION_WARN`` from
+    one warns that the weighted sample describes another law.
     """
     y = samples.Y
     base_grid = discretize(baseline, stressed.n)
@@ -194,6 +202,15 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
         )
     if w.mean() <= 0.0:
         raise ValidationError("all weights vanished; stress incompatible with samples")
+    off = meta["normalisation"] - 1.0
+    if abs(off) > NORMALISATION_WARN:
+        warnings.warn(
+            f"the weights {'lose' if off < 0 else 'gain'} {abs(off):.1%} of the stressed "
+            f"law's mass (normalisation {meta['normalisation']:.4f}), so the weighted "
+            "sample describes another law; a reweighting cannot move an atom or put "
+            "mass beyond every sample",
+            stacklevel=2,
+        )
     return WeightSet(w=w, meta=meta)
 
 

@@ -875,3 +875,110 @@ class TestCsvReader:
         assert back.shape == data.shape
         assert np.array_equal(back, data, equal_nan=True)
         assert np.array_equal(np.signbit(back[~np.isnan(back)]), np.signbit(data[~np.isnan(data)]))
+
+
+#: the scenario seeds of perfbench's ``cli_portfolio`` workload
+CLI_SCENARIO_SEEDS = (7, 11, 19, 23, 31, 43, 59, 71)
+
+
+class TestTableCopy:
+    """``simulate``'s ``samples.npz`` stands in for a parse only while it matches the CSV."""
+
+    def simulate(self, tmp_path, seed=7, n_samples=500) -> Path:
+        config = {"out": str(tmp_path / "sim"), "seed": seed,
+                  "input": {"scenario": {"n_samples": n_samples}}}
+        assert main(["simulate", str(write_config(tmp_path, config))]) == EXIT_OK
+        return tmp_path / "sim" / "samples.csv"
+
+    @pytest.fixture()
+    def parses(self, monkeypatch):
+        """The number of ``np.loadtxt`` calls, which only the CSV parse makes."""
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        return calls
+
+    def parse(self, csv_path: Path, tmp_path: Path):
+        """The CSV's parse, read from a copy of the CSV alone."""
+        bare = tmp_path / "bare" / "samples.csv"
+        bare.parent.mkdir()
+        bare.write_bytes(csv_path.read_bytes())
+        return _read_csv_table(str(bare))
+
+    @pytest.mark.parametrize("seed", CLI_SCENARIO_SEEDS)
+    def test_copy_equals_parse_bit_for_bit(self, tmp_path, seed, parses):
+        csv_path = self.simulate(tmp_path, seed=seed)
+        header, data = _read_csv_table(str(csv_path))
+        assert parses == []
+        ref_header, ref_data = self.parse(csv_path, tmp_path)
+        assert parses == [1]
+        assert header == ref_header == ["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9",
+                                        "L10", "Y", "theta"]
+        assert data.dtype == ref_data.dtype and data.shape == ref_data.shape == (500, 12)
+        assert data.tobytes() == ref_data.tobytes()
+
+    def test_copy_is_deterministic(self, tmp_path):
+        copy = self.simulate(tmp_path).with_suffix(".npz")
+        first = copy.read_bytes()
+        copy.unlink()
+        assert self.simulate(tmp_path).with_suffix(".npz").read_bytes() == first
+
+    def test_edited_cell_is_parsed(self, tmp_path, parses):
+        csv_path = self.simulate(tmp_path)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        lines[1] = "123.5" + lines[1][lines[1].index(","):]
+        csv_path.write_text("".join(lines))
+        header, data = _read_csv_table(str(csv_path))
+        assert parses == [1]
+        assert data[0, 0] == 123.5 and header[0] == "L1"
+
+    def rewrite(self, copy: Path, key: str, change):
+        """Save the copy again with ``key`` set to ``change(old value)``, or left out for None."""
+        with np.load(copy) as npz:
+            saved = dict(npz)
+        saved[key] = change(saved[key])
+        np.savez(copy, **{k: v for k, v in saved.items() if v is not None})
+
+    FALLBACKS = {
+        "truncated": lambda self, csv_path, copy: copy.write_bytes(
+            copy.read_bytes()[: copy.stat().st_size // 2]),
+        "empty": lambda self, csv_path, copy: copy.write_bytes(b""),
+        "not_a_zip": lambda self, csv_path, copy: copy.write_text("L1,Y\n1,2\n"),
+        "missing_key": lambda self, csv_path, copy: self.rewrite(
+            copy, "csv_sha256", lambda sha: None),
+        "wrong_shape": lambda self, csv_path, copy: self.rewrite(
+            copy, "data", lambda data: data[:, :-1].copy()),
+        "wrong_dtype": lambda self, csv_path, copy: self.rewrite(
+            copy, "data", lambda data: data.astype(np.float32)),
+        "foreign_csv": lambda self, csv_path, copy: csv_path.write_text(
+            "L1,Y\n" + "".join(f"{i},{2 * i}\n" for i in range(200))),
+    }
+
+    @pytest.mark.parametrize("damage", FALLBACKS.values(), ids=FALLBACKS.keys())
+    def test_unusable_copy_falls_back_to_the_parse(self, tmp_path, damage, parses):
+        csv_path = self.simulate(tmp_path)
+        damage(self, csv_path, csv_path.with_suffix(".npz"))
+        parses.clear()
+        header, data = _read_csv_table(str(csv_path))
+        assert parses == [1]
+        ref_header, ref_data = self.parse(csv_path, tmp_path)
+        assert header == ref_header
+        assert data.tobytes() == ref_data.tobytes()
+
+    def test_stress_reads_past_a_truncated_copy(self, tmp_path):
+        csv_path = self.simulate(tmp_path, n_samples=2000)
+        copy = csv_path.with_suffix(".npz")
+        out = tmp_path / "out"
+        config = {"out": str(out), "grid_n": 512, "input": {"csv": str(csv_path)},
+                  "stresses": [{"name": "up", "kind": "rm",
+                                "constraints": [{"gamma": "es", "alpha": 0.9, "bump": 0.05}]}]}
+        cfg = write_config(tmp_path, config)
+        outputs = []
+        for _ in ("whole", "truncated"):
+            assert main(["stress", str(cfg)]) == EXIT_OK
+            outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+            copy.write_bytes(copy.read_bytes()[:100])
+        assert outputs[0] == outputs[1]
+        summary = outputs[0]["summary.txt"].decode().splitlines()
+        at = summary.index("zero_weight_count = 0")
+        assert summary[at + 1].startswith("normalisation = 0.99")

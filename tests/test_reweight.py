@@ -113,6 +113,23 @@ class TestRnWeights:
         assert w.meta["zero_weight_count"] > 0
         assert w.meta["high_zero_fraction"]
 
+    def test_stress_that_moves_an_atom_warns_of_lost_mass(self):
+        # an excess-of-loss output: most draws sit on the atom at zero, and an
+        # sd +20% stress at the held mean moves that atom below every sample
+        rng = np.random.default_rng(5)
+        losses = rng.lognormal(0.0, 1.0, size=(20_000, 3))
+        y = np.maximum(losses.sum(axis=1) - 4.5, 0.0)
+        samples = SampleSet(X=losses, Y=y, columns=("L1", "L2", "L3"))
+        spec = Empirical(y)
+        base = discretize(spec, 1024)
+        mean, sd = mean_sd(base)
+        model = solve_mean_var_rm(base, MeanVarRm(mean=mean, sd=1.2 * sd))
+        with pytest.warns(UserWarning, match=r"the weights lose \d+\.\d% of the stressed") as rec:
+            w = rn_weights(samples, spec, model.stressed)
+        assert w.meta["normalisation"] < 1.0 - reweight.NORMALISATION_WARN
+        lost = f"{1.0 - w.meta['normalisation']:.1%}"
+        assert any(lost in str(r.message) for r in rec)
+
     def test_expectation_consistency(self):
         rng = np.random.default_rng(107)
         samples = make_samples(rng, n=100_000)
