@@ -93,6 +93,8 @@ EXIT_NOT_CONVERGED = 2
 EXIT_NO_SOLUTION = 3
 
 FLOAT_FMT = "%.17g"
+#: the ``%`` conversion of a CSV column, by its dtype kind
+_CELL_FMT = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 #: rows formatted per ``%`` operation by ``_write_csv``; bounds its memory
 CSV_CHUNK_ROWS = 8192
 #: bytes read per step by ``_sha256``; bounds its memory
@@ -152,7 +154,7 @@ def load_config(path: str, overrides: dict) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = yaml.safe_load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
@@ -225,10 +227,11 @@ def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
 
     Blank lines and lines starting with ``#`` are skipped.  Returns the
     stripped column names and the data as a (rows, columns) float array;
-    an unreadable file, a missing data row, a non-numeric cell or a ragged
-    row raises :class:`ConfigError`.  A copy that ``simulate`` saved beside
-    the CSV is returned instead of a parse while the sha256 of the CSV's
-    bytes matches the one it holds; it equals the parse bit for bit.
+    an unreadable or non-UTF-8 file, a missing data row, a non-numeric cell
+    or a ragged row raises :class:`ConfigError`; a leading byte-order mark
+    is skipped.  A copy that ``simulate`` saved beside the CSV is returned
+    instead of a parse while the sha256 of the CSV's bytes matches the one
+    it holds; it equals the parse bit for bit.
     Otherwise the header goes through ``csv.reader`` and the data lines are
     parsed in one ``np.loadtxt`` call, which accepts the same quoted cells,
     CRLF endings and padded cells.  The file streams through the hash and
@@ -238,20 +241,18 @@ def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
         copy = _read_table_copy(path)
         if copy is not None:
             return copy
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             lines = (ln for ln in fh if ln.strip("\r\n") and not ln.startswith("#"))
             first = list(islice(lines, 2))
             if len(first) < 2:
                 raise ConfigError(f"{path} has no data rows")
             header = [h.strip() for h in next(csv.reader(first[:1]))]
-            try:
-                data = np.loadtxt(chain(first[1:], lines), delimiter=",", quotechar='"',
-                                  comments=None, ndmin=2)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}: data rows must be numeric and equally long ({exc})") from exc
-    except OSError as exc:
+            data = np.loadtxt(chain(first[1:], lines), delimiter=",", quotechar='"',
+                              comments=None, ndmin=2)
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: data rows must be numeric and equally long ({exc})") from exc
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: {data.shape[1]} data columns under {len(header)} names")
     return header, data
@@ -412,40 +413,36 @@ def build_stress(entry: dict, baseline: QuantileGrid, where: str = "stress"):
 # output helpers
 
 
-def _column_cells(column) -> tuple[list | np.ndarray, str]:
-    """A column's cells, with the ``%`` conversion that writes them.
-
-    A numeric array stays an array, so ``_write_csv`` holds one chunk of it at a
-    time as Python numbers, which format faster than numpy scalars, to the same text.
-    An integer array is written exactly, by ``%d``.
-    """
-    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
-        return column, FLOAT_FMT if column.dtype.kind == "f" else "%d"
-    cells = list(column)
-    if any(isinstance(v, str) for v in cells):
-        return [v if isinstance(v, str) else FLOAT_FMT % v for v in cells], "%s"
-    return cells, FLOAT_FMT
+def _quote(cell: str) -> str:
+    """A text cell as ``csv.writer`` writes it: quoted, quotes doubled, if it has , " CR or LF."""
+    if any(c in cell for c in ',"\r\n'):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def _write_csv(path: Path, header: list[str], columns: list, hash_line: str | None):
-    """Write columns as CSV rows: floats by ``FLOAT_FMT``, strings as they are.
+    """Write columns as CSV rows, each cell by its column's dtype kind.
 
-    Rows are formatted ``CSV_CHUNK_ROWS`` at a time by one ``%`` operation.
-    As with ``zip``, the shortest column sets the row count.
+    Floats go by ``FLOAT_FMT``, integers and booleans by ``%d`` (exactly) and
+    text by ``%s``, quoted by ``_quote``.  Rows are formatted
+    ``CSV_CHUNK_ROWS`` at a time by one ``%`` operation on Python values,
+    which format faster than numpy scalars, to the same text.  As with
+    ``zip``, the shortest column sets the row count.
     """
-    cells = [_column_cells(c) for c in columns]
-    row_fmt = ",".join(fmt for _, fmt in cells) + "\n"
-    columns = [col for col, _ in cells]
+    columns = [np.asarray(c) for c in columns]
+    columns = [np.array([_quote(v) for v in c.tolist()]) if c.dtype.kind == "U" else c
+               for c in columns]
+    row_fmt = ",".join(_CELL_FMT[c.dtype.kind] for c in columns) + "\n"
     n_rows = min(map(len, columns), default=0)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if hash_line:
             fh.write(f"# config_hash={hash_line}\n")
         fh.write(",".join(header) + "\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            chunk = [col[start : start + CSV_CHUNK_ROWS] for col in columns]
-            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            chunk = [col[start : start + CSV_CHUNK_ROWS].tolist() for col in columns]
             rows = min(CSV_CHUNK_ROWS, n_rows - start)
             fh.write((row_fmt * rows) % tuple(chain.from_iterable(zip(*chunk))))
+            del chunk  # or it holds these values while the next chunk's are built (peak RSS)
 
 
 def _structure_flags(model) -> str:
@@ -485,9 +482,9 @@ def _prepare(config: dict):
     """The configuration ``stress`` and ``sensitivity`` share, decoded.
 
     Checks ``out``, resolves samples and baseline, discretises the baseline
-    and builds every stress, whose name must be a distinct plain file name and
-    appears in any error it raises.  Returns ({stress name: stress spec},
-    samples, baseline distribution, baseline grid).
+    and builds every stress, whose name must be a distinct plain file name on
+    one line and appears in any error it raises.  Returns ({stress name:
+    stress spec}, samples, baseline distribution, baseline grid).
     """
     _get(config, "out", str)  # checked now; created once every stress is solved
     entries = _get(config, "stresses", list)
@@ -500,7 +497,8 @@ def _prepare(config: dict):
     for i, entry in enumerate(entries):
         at = f"stress {i}"
         name = _get(entry, "name", str, _get(entry, "kind", str, "stress", at), at)
-        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        if (name in ("", ".", "..") or any(c in name for c in "/\\\0")
+                or name.splitlines() != [name]):
             raise ConfigError(f"stress name {name!r} is not a plain file name")
         if name in stresses:
             raise ConfigError(f"stress name {name!r} is used twice; give each stress its own name")

@@ -427,6 +427,22 @@ class TestSensitivityCommand:
         ][0]
         assert "delta_baseline" in header and "delta_stressed" in header
 
+    def test_names_with_commas_are_quoted(self, tmp_path):
+        rng = np.random.default_rng(4)
+        x = rng.lognormal(size=(2000, 2))
+        csv_path = tmp_path / "samples.csv"
+        np.savetxt(csv_path, np.column_stack((x, x.sum(axis=1))), fmt="%.17g", delimiter=",",
+                   header='"L,1",L2,Y', comments="")
+        config = {"out": str(tmp_path / "out"), "grid_n": 1024, "input": {"csv": str(csv_path)},
+                  "stresses": [{**RM_STRESS, "name": "up,10%"}],
+                  "sensitivity": {"pairs": [["L,1", "L2"]]}}
+        assert main(["sensitivity", str(write_config(tmp_path, config))]) == EXIT_OK
+        with open(tmp_path / "out" / "sensitivity.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert {len(row) for row in rows} == {len(rows[0])} == {7}
+        assert [row[:2] for row in rows[1:]] == [["up,10%", "L,1"], ["up,10%", "L2"],
+                                                 ["up,10%", "L,1:L2"]]
+
     def test_no_solution_exits_3_with_message(self, sens_setup, tmp_path, capsys):
         config = self.base_config(tmp_path, s_functions=["identity"])
         config["stresses"] = [
@@ -486,6 +502,11 @@ MALFORMED_CONFIGS = [
      {"stresses": [{k: v for k, v in RM_STRESS.items() if k != "name"}] * 2},
      "stress name 'rm'"),
     ("name_with_path", BOTH, {"stresses": [{**RM_STRESS, "name": "../s"}]}, "'../s'"),
+    # a line break would split summary.txt's [stress <name>] line
+    ("name_with_newline", BOTH, {"stresses": [{**RM_STRESS, "name": "up\nx"}]}, "'up\\nx'"),
+    ("name_with_cr", BOTH, {"stresses": [{**RM_STRESS, "name": "up\rx"}]}, "'up\\rx'"),
+    ("name_with_line_separator", BOTH, {"stresses": [{**RM_STRESS, "name": "up\u2028x"}]},
+     "'up\\u2028x'"),
     ("pair_alpha", ["sensitivity"], {"sensitivity": {"pair_alpha": "hi"}}, "'pair_alpha'"),
     ("s_function_parameter", ["sensitivity"], {"sensitivity": {"s_functions": ["power:x"]}},
      "'power:x'"),
@@ -535,14 +556,15 @@ class TestConfigErrors:
     def test_missing_file_exits_1(self, capsys):
         assert main(["stress", "/nonexistent/config.yaml"]) == 1
 
-    @pytest.mark.parametrize("text, needle", [
-        ("stresses: [\n", "cannot parse config"),
-        ("- stresses\n- out\n", "config must be a mapping"),
-    ], ids=["yaml_parse_error", "top_level_list"])
-    def test_unreadable_config_exits_1(self, tmp_path, monkeypatch, text, needle, capsys):
+    @pytest.mark.parametrize("content, needle", [
+        (b"stresses: [\n", "cannot parse config"),
+        (b"- stresses\n- out\n", "config must be a mapping"),
+        ("out: r\xe9sultats\n".encode("latin-1"), "cannot read config"),
+    ], ids=["yaml_parse_error", "top_level_list", "latin1"])
+    def test_unreadable_config_exits_1(self, tmp_path, monkeypatch, content, needle, capsys):
         monkeypatch.chdir(tmp_path)  # where the default out would go
         cfg = tmp_path / "config.yaml"
-        cfg.write_text(text, encoding="utf-8")
+        cfg.write_bytes(content)
         assert main(["stress", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and needle in err
@@ -636,6 +658,9 @@ MALFORMED_CSV = {
     "ragged_row": "L1,Y\n1.0,2.0\n3.0\n",
     "too_many_cells": "L1,Y\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
     "missing_file": None,
+    # the tests write each file as Latin-1, which leaves the ASCII ones above as they are
+    "latin1_header": "L\xe9,Y\n1.0,2.0\n",
+    "latin1_late_cell": "L1,Y\n" + "1.0,2.0\n" * 4000 + "3.0,\xe9\n",
 }
 
 
@@ -644,21 +669,22 @@ class TestMalformedCsv:
     def test_smooth_exits_1(self, tmp_path, content, capsys):
         csv_path = tmp_path / "bad.csv"
         if content is not None:
-            csv_path.write_text(content)
+            csv_path.write_text(content, encoding="latin-1")
         config = {
             "out": str(tmp_path / "out"),
             "zeta": 1e-4,
             "smooth": {"csv": str(csv_path), "column": "Y"},
         }
         assert main(["smooth", str(write_config(tmp_path, config))]) == 1
-        assert "bad.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.csv" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("content", MALFORMED_CSV.values(), ids=MALFORMED_CSV.keys())
     def test_stress_exits_1(self, tmp_path, content, capsys):
         csv_path = tmp_path / "bad.csv"
         if content is not None:
-            csv_path.write_text(content)
+            csv_path.write_text(content, encoding="latin-1")
         config = {
             "out": str(tmp_path / "out"),
             "grid_n": 256,
@@ -673,7 +699,9 @@ class TestMalformedCsv:
             ],
         }
         assert main(["stress", str(write_config(tmp_path, config))]) == 1
-        assert "bad.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.csv" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPartialOutput:
@@ -818,14 +846,25 @@ class TestCsvWriter:
         expected = per_cell_csv(["a", "b", "c"], columns, "abc")
         assert (tmp_path / "t.csv").read_text() == expected
 
-    def test_mixed_string_and_number_columns(self, tmp_path):
+    def test_text_float_int_and_tuple_columns(self, tmp_path):
         n = 20_000  # more rows than one formatting chunk
         rng = np.random.default_rng(3)
-        columns = [[f"s{i % 7}" for i in range(n)], rng.normal(size=n),
-                   ["x" if i % 3 else float(i) for i in range(n)], list(range(n))]
-        header = ["name", "value", "mixed", "count"]
+        # the tuples are sensitivity.csv's columns, one text and one float
+        columns = [np.array([f"s{i % 7}" for i in range(n)]), rng.normal(size=n), np.arange(n),
+                   tuple(f"t{i % 5}" for i in range(n)), tuple(rng.normal(size=n).tolist())]
+        header = ["name", "value", "count", "stress", "S"]
         _write_csv(tmp_path / "t.csv", header, columns, None)
         assert (tmp_path / "t.csv").read_text() == per_cell_csv(header, columns)
+
+    def test_text_cells_are_quoted(self, tmp_path):
+        names = ("up,10%", 'say "hi"', "cr\rx", "lf\nx", "plain")
+        path = tmp_path / "t.csv"
+        _write_csv(path, ["name", "i"], [names, np.arange(len(names))], None)
+        assert path.read_bytes().decode() == (
+            'name,i\n"up,10%",0\n"say ""hi""",1\n"cr\rx",2\n"lf\nx",3\nplain,4\n')
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [[name, str(i)] for i, name in enumerate(names)]
 
     def test_integer_arrays_are_written_exactly(self, tmp_path):
         # %.17g would write 2**60 as 1.152921504606847e+18
@@ -862,6 +901,18 @@ class TestCsvReader:
         assert data.shape == ref_data.shape
         assert np.array_equal(data, ref_data, equal_nan=True)
         assert np.array_equal(np.signbit(data), np.signbit(ref_data))
+
+    @pytest.mark.parametrize("text", ["Y,L1\n1.5,2\n3,-0.25\n",
+                                      "# config_hash=1\nY,L1\n1.5,2\n3,-0.25\n"],
+                             ids=["header_first", "comment_first"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        header, data = _read_csv_table(str(marked))
+        ref_header, ref_data = _read_csv_table(str(plain))
+        assert header == ref_header == ["Y", "L1"]
+        assert data.tobytes() == ref_data.tobytes()
 
     @settings(max_examples=50, deadline=None, derandomize=True, database=None)
     @given(st.lists(st.tuples(st.floats(), st.floats(width=32), st.floats(allow_nan=False)),
