@@ -624,8 +624,12 @@ def run_sensitivity(config: dict) -> tuple[int, str]:
           joint_tail_indicator_s(samples.column(a), samples.column(b), pair_alpha))
          for a, b in pairs),
     )
-    results = [(target, tag, reverse_sensitivity(s, list(weight_sets.values())))
-               for target, tag, s in s_vectors]
+    results = []
+    for target, tag, s in s_vectors:
+        try:
+            results.append((target, tag, reverse_sensitivity(s, list(weight_sets.values()))))
+        except ValidationError as exc:  # non-finite s-values, as power:<k> can give
+            raise ValidationError(f"sensitivity of {target!r} under {tag!r}: {exc}") from exc
     out_dir = _make_out(config)  # once every value is computed, so an error leaves no out
 
     header = ["stress", "input", "s_tag", "S", "numerator", "max_bound", "min_bound"]

@@ -60,6 +60,9 @@ class SampleSet:
         cols = tuple(self.columns)
         if len(cols) != X.shape[1]:
             raise ValidationError("column names must match the input count")
+        repeated = next((name for i, name in enumerate(cols) if name in cols[:i]), None)
+        if repeated is not None:
+            raise ValidationError(f"column name {repeated!r} is repeated")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Y", Y)
         object.__setattr__(self, "columns", cols)
@@ -73,6 +76,12 @@ class SampleSet:
             return self.X[:, self.columns.index(name)]
         except ValueError:
             raise ValidationError(f"unknown column {name!r}") from None
+
+    @cached_property
+    def sorted_Y(self) -> tuple[np.ndarray, np.ndarray]:  # sorted once for every reweighting
+        """The stable argsort of ``Y`` and ``Y`` taken in that order (ascending)."""
+        order = np.argsort(self.Y, kind="stable")
+        return order, self.Y[order]
 
 
 @dataclass(frozen=True)
@@ -128,7 +137,11 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
     beyond every sample, so a mean further than ``NORMALISATION_WARN`` from
     one warns that the weighted sample describes another law.
     """
-    y = samples.Y
+    # Every step on the outputs is pointwise or exact, or (the KDE's histogram
+    # of n equal weights) independent of their order, so it runs on the
+    # ascending copy, whose lookups are faster; the ratio is scattered back to
+    # sample order before anything sums it.
+    order, y = samples.sorted_Y
     base_grid = discretize(baseline, stressed.n)
     shift = stressed.q - base_grid.q
     empirical = isinstance(baseline, Empirical)
@@ -136,8 +149,8 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
     # past the end knots the map continues with unit slope
     moved = y + np.interp(y, base_grid.q, shift) if empirical else y
 
-    lo = min(base_grid.q[0], stressed.q[0], float(y.min()), float(moved.min()))
-    hi = max(base_grid.q[-1], stressed.q[-1], float(y.max()), float(moved.max()))
+    lo = min(base_grid.q[0], stressed.q[0], float(y[0]), float(moved.min()))
+    hi = max(base_grid.q[-1], stressed.q[-1], float(y[-1]), float(moved.max()))
     span = hi - lo
     if span <= 0.0:
         raise ValidationError("degenerate output range")
@@ -146,8 +159,7 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
     grid = np.linspace(lo, hi, DEFAULT_GRID_N)
 
     f_base = np.asarray(baseline.pdf(grid), dtype=float)
-    f_at_y = np.asarray(baseline.pdf(y), dtype=float)
-    if np.any(f_at_y <= 0.0):
+    if np.any(np.asarray(baseline.pdf(y), dtype=float) <= 0.0):
         raise ValidationError(
             "baseline density vanishes at observed outputs; weights undefined"
         )
@@ -159,6 +171,7 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
         # bandwidth keeps the ratio free of one-sided estimator artifacts;
         # quantile jumps and atoms smear consistently on both sides.
         g_stressed = kde_density(moved, grid, bandwidth=baseline.bandwidth)
+        del moved  # freed before the weights are allocated
     else:
         # an atom's CDF step keeps its mass wherever the grid points fall;
         # a density spike interpolated onto this grid would not
@@ -184,7 +197,8 @@ def rn_weights(samples: SampleSet, baseline: BaselineSpec, stressed: QuantileGri
             g_stressed[tail] = baseline.pdf(grid[tail] - d)
     ratio = g_stressed / np.maximum(f_base, DENSITY_FLOOR)
 
-    w = np.interp(y, grid, ratio)
+    w = np.empty_like(y)
+    w[order] = np.interp(y, grid, ratio)
     zero_count = int(np.sum(w < 1e-10))
     zero_fraction = zero_count / y.size
     meta = {

@@ -107,7 +107,9 @@ def identity_s(x):
 
 
 def power_s(x, k: int):
-    return np.asarray(x, dtype=float) ** k
+    """x**k; overflow and division by zero give infinities, which the sensitivity rejects."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.asarray(x, dtype=float) ** k
 
 
 def tail_indicator_s(x, alpha: float):

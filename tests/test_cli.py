@@ -443,6 +443,28 @@ class TestSensitivityCommand:
         assert [row[:2] for row in rows[1:]] == [["up,10%", "L,1"], ["up,10%", "L2"],
                                                  ["up,10%", "L,1:L2"]]
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_power_exits_1_and_names_its_input(self, sens_setup, tmp_path, capsys):
+        config = self.base_config(tmp_path, s_functions=["identity", "power:1000"])
+        assert main(["sensitivity", str(write_config(tmp_path, config))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sensitivity of 'L1' under 'power:1000': ")
+        assert "non-finite" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_repeated_input_column_exits_1(self, tmp_path, capsys):
+        x = np.random.default_rng(4).lognormal(size=(2000, 2))
+        csv_path = tmp_path / "samples.csv"
+        np.savetxt(csv_path, np.column_stack((x, x.sum(axis=1))), fmt="%.17g", delimiter=",",
+                   header="L1,L1,Y", comments="")
+        out = tmp_path / "out"
+        config = {"out": str(out), "grid_n": 1024, "input": {"csv": str(csv_path)},
+                  "stresses": [RM_STRESS], "sensitivity": {"delta": True}}
+        assert main(["sensitivity", str(write_config(tmp_path, config))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'L1' is repeated" in err
+        assert not out.exists()
+
     def test_no_solution_exits_3_with_message(self, sens_setup, tmp_path, capsys):
         config = self.base_config(tmp_path, s_functions=["identity"])
         config["stresses"] = [

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from wstress.distributions import Empirical, Gamma, Lognormal, discretize
 from wstress.errors import ValidationError
@@ -18,6 +21,7 @@ from wstress.stress_solvers import (
     RmConstraint,
     RmStress,
     VarStress,
+    solve,
     solve_mean_var_rm,
     solve_rm,
     solve_var,
@@ -27,6 +31,21 @@ from wstress.stress_solvers import (
 def make_samples(rng, n=50_000):
     y = rng.lognormal(mean=7.0 / 8.0, sigma=0.5, size=n)
     return SampleSet(X=y[:, None], Y=y, columns=("X1",))
+
+
+class TestSampleSet:
+    def test_rejects_a_repeated_column_name(self):
+        x = np.random.default_rng(3).lognormal(size=(200, 3))
+        with pytest.raises(ValidationError, match="column name 'L1' is repeated"):
+            SampleSet(X=x, Y=x.sum(axis=1), columns=("L1", "L2", "L1"))
+
+    def test_sorted_Y_is_the_stable_ascending_order(self):
+        y = np.round(np.random.default_rng(3).lognormal(size=500), 1)  # with ties
+        samples = SampleSet(X=y[:, None], Y=y, columns=("X1",))
+        order, ascending = samples.sorted_Y
+        np.testing.assert_array_equal(order, np.argsort(y, kind="stable"))
+        np.testing.assert_array_equal(ascending, np.sort(y))
+        assert samples.sorted_Y is samples.sorted_Y  # computed once
 
 
 class TestWeightSet:
@@ -209,7 +228,87 @@ class TestRnWeights:
         ref[top] = stressed.q[-1] + (y[top] - base.q[-1])
         ref[bottom] = stressed.q[0] + (y[bottom] - base.q[0])
         assert top.any() and bottom.any()
+        # rn_weights transports Y in ascending (stable) order
+        ref = ref[np.argsort(y, kind="stable")]
         assert np.abs(moved[0] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _atom_samples():
+    # an excess-of-loss output: 58% of the draws tie on the atom at zero
+    losses = np.random.default_rng(5).lognormal(0.0, 1.0, size=(20_000, 3))
+    y = np.maximum(losses.sum(axis=1) - 4.5, 0.0)
+    return SampleSet(X=losses, Y=y, columns=("L1", "L2", "L3"))
+
+
+def _lognormal_samples():
+    n = 20_000
+    rng = np.random.default_rng(5)
+    y = np.exp(0.875 + 0.5 * ndtri((np.arange(n) + rng.random(n)) / n))
+    rng.shuffle(y)
+    return SampleSet(X=y[:, None], Y=y, columns=("X1",))
+
+
+def _sd_up(base):
+    mean, sd = mean_sd(base)
+    return MeanVarRm(mean=mean, sd=1.2 * sd)
+
+
+def _var_right(base):
+    return VarStress(0.9, 1.05 * var_plus(base, 0.9), "right")
+
+
+def _es95_up(base):
+    w95 = es_weight(0.95, base.n)
+    return RmStress((RmConstraint(w95, 1.1 * eval_rm(base, w95)),))
+
+
+ROW_ORDER_CASES = {
+    "atom-sd_up": (_atom_samples, None, _sd_up),
+    "atom-var_right": (_atom_samples, None, _var_right),
+    "lognormal-var_right": (_lognormal_samples, Lognormal(0.875, 0.5), _var_right),
+    "lognormal-es_up": (_lognormal_samples, Lognormal(0.875, 0.5), _es95_up),
+}
+
+
+class TestRowOrder:
+    """``rn_weights`` evaluates on Y sorted once; the weights come back in sample order."""
+
+    @staticmethod
+    def weights(samples, spec, make_stress):
+        spec = Empirical(samples.Y) if spec is None else spec
+        base = discretize(spec, 1024)
+        model = solve(base, make_stress(base))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the atom's lost mass
+            return model, rn_weights(samples, spec, model.stressed)
+
+    @pytest.mark.parametrize("case", ROW_ORDER_CASES)
+    def test_permuting_rows_permutes_the_weights(self, case):
+        build_samples, spec, make_stress = ROW_ORDER_CASES[case]
+        samples = build_samples()
+        perm = np.random.default_rng(17).permutation(samples.n_samples)
+        shuffled = SampleSet(X=samples.X[perm], Y=samples.Y[perm], columns=samples.columns)
+        model, w = self.weights(samples, spec, make_stress)
+        model_shuffled, w_shuffled = self.weights(shuffled, spec, make_stress)
+        np.testing.assert_array_equal(model_shuffled.stressed.q, model.stressed.q)
+        np.testing.assert_array_equal(model_shuffled.multipliers, model.multipliers)
+        # WeightSet divides by the mean, which sums in the other row order
+        np.testing.assert_allclose(w_shuffled.w, w.w[perm], rtol=4 * np.finfo(float).eps,
+                                   atol=0.0)
+        if case == "lognormal-var_right":
+            assert w.meta["zero_weight_count"] > 0  # the jump's mass-free gap
+
+    @pytest.mark.parametrize("case", ROW_ORDER_CASES)
+    def test_equal_bits_to_an_evaluation_in_sample_order(self, case):
+        build_samples, spec, make_stress = ROW_ORDER_CASES[case]
+        samples = build_samples()
+        _, w = self.weights(samples, spec, make_stress)
+        unsorted = SampleSet(X=samples.X, Y=samples.Y, columns=samples.columns)
+        # every step on the outputs then runs on Y as given, one lookup per sample
+        unsorted.__dict__["sorted_Y"] = (np.arange(unsorted.n_samples), unsorted.Y)
+        _, w_unsorted = self.weights(unsorted, spec, make_stress)
+        assert w.w.tobytes() == w_unsorted.w.tobytes()
+        assert w.meta == w_unsorted.meta
 
 
 class TestStressedCdf:

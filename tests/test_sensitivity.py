@@ -10,6 +10,7 @@ from wstress.sensitivity import (
     bivariate_reverse_sensitivity,
     delta_measure,
     joint_tail_indicator_s,
+    power_s,
     reverse_sensitivity,
     tail_indicator_s,
 )
@@ -189,6 +190,14 @@ class TestSFunctions:
         x = np.arange(100.0)
         s = tail_indicator_s(x, 0.9)
         assert s.sum() == pytest.approx(np.sum(x > np.quantile(x, 0.9)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_gives_infinities_without_a_warning(self):
+        s = power_s(np.array([0.0, 2.0, 1e200]), 2)
+        assert s[:2].tolist() == [0.0, 4.0] and s[2] == np.inf
+        assert power_s(np.array([0.0, 2.0]), -1).tolist() == [np.inf, 0.5]
+        with pytest.raises(ValidationError, match="non-finite"):
+            reverse_sensitivity(s, weights_from(np.ones(3)))
 
 
 def delta_reference(y, x, w, bins=20):
