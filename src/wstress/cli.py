@@ -36,6 +36,8 @@ import yaml
 
 from .distributions import (
     DEFAULT_GRID_N,
+    MAX_GRID_N,
+    MIN_GRID_N,
     Empirical,
     Gamma,
     Lognormal,
@@ -163,6 +165,9 @@ def load_config(path: str, overrides: dict) -> dict:
     defaults = {"grid_n": DEFAULT_GRID_N, "zeta": 0.0, "seed": 0, "out": "wstress-out"}
     config = {**defaults, **config, **{k: v for k, v in overrides.items() if v is not None}}
     config["grid_n"] = _get(config, "grid_n", int)
+    if not MIN_GRID_N <= config["grid_n"] <= MAX_GRID_N:
+        raise ConfigError(f"config 'grid_n' must lie in [{MIN_GRID_N}, {MAX_GRID_N}], "
+                          f"got {config['grid_n']:.6g}")
     config["zeta"] = _get(config, "zeta", float)
     return config
 
@@ -227,11 +232,12 @@ def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
 
     Blank lines and lines starting with ``#`` are skipped.  Returns the
     stripped column names and the data as a (rows, columns) float array;
-    an unreadable or non-UTF-8 file, a missing data row, a non-numeric cell
-    or a ragged row raises :class:`ConfigError`; a leading byte-order mark
-    is skipped.  A copy that ``simulate`` saved beside the CSV is returned
-    instead of a parse while the sha256 of the CSV's bytes matches the one
-    it holds; it equals the parse bit for bit.
+    an unreadable or non-UTF-8 file, a missing data row, a non-numeric cell,
+    a ragged row or a repeated column name raises :class:`ConfigError`; a
+    leading byte-order mark is skipped.  A copy that ``simulate`` saved
+    beside the CSV is returned instead of a parse while the sha256 of the
+    CSV's bytes matches the one it holds; it equals the parse bit for bit,
+    and its header is checked the same way.
     Otherwise the header goes through ``csv.reader`` and the data lines are
     parsed in one ``np.loadtxt`` call, which accepts the same quoted cells,
     CRLF endings and padded cells.  The file streams through the hash and
@@ -240,21 +246,24 @@ def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
     try:
         copy = _read_table_copy(path)
         if copy is not None:
-            return copy
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            lines = (ln for ln in fh if ln.strip("\r\n") and not ln.startswith("#"))
-            first = list(islice(lines, 2))
-            if len(first) < 2:
-                raise ConfigError(f"{path} has no data rows")
-            header = [h.strip() for h in next(csv.reader(first[:1]))]
-            data = np.loadtxt(chain(first[1:], lines), delimiter=",", quotechar='"',
-                              comments=None, ndmin=2)
+            header, data = copy
+        else:
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+                lines = (ln for ln in fh if ln.strip("\r\n") and not ln.startswith("#"))
+                first = list(islice(lines, 2))
+                if len(first) < 2:
+                    raise ConfigError(f"{path} has no data rows")
+                header = [h.strip() for h in next(csv.reader(first[:1]))]
+                data = np.loadtxt(chain(first[1:], lines), delimiter=",", quotechar='"',
+                                  comments=None, ndmin=2)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: data rows must be numeric and equally long ({exc})") from exc
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: {data.shape[1]} data columns under {len(header)} names")
+    if repeated := [name for j, name in enumerate(header) if name in header[:j]]:
+        raise ConfigError(f"{path}: column {repeated[0]!r} is repeated")
     return header, data
 
 

@@ -40,6 +40,9 @@ __all__ = [
 
 DEFAULT_GRID_N = 4096
 MIN_GRID_N = 16
+#: the largest ``grid_n`` a run configuration may ask for: a stress run holds
+#: about 0.3 GB per million cells, so about 1.3 GB at this bound
+MAX_GRID_N = 2**22
 DENSITY_FLOOR = 1e-12
 FLAT_REL_TOL = 1e-9
 _SQRT_2PI = np.sqrt(2 * np.pi)

@@ -157,27 +157,28 @@ def eval_rm(grid: QuantileGrid, weight: DistortionWeight) -> float:
     return float(np.mean(grid.q * weight.values))
 
 
-def _check_level(alpha: float):
+def _quantile_cell(n: int, alpha: float, left: bool) -> int:
+    """The cell a level-alpha grid quantile reads: the one place it is computed.
+
+    The grid is read as a step function jumping at the midpoints: the left
+    quantile reads the last midpoint at or below alpha, the right quantile
+    the first one strictly above it.  Clamped onto the grid, so a level
+    within half a cell of 0 or 1 reads the end cell.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValidationError("quantile level must lie in (0, 1)")
+    idx = int(np.floor(alpha * n - 0.5 if left else alpha * n + 0.5))
+    return min(max(idx, 0), n - 1)
 
 
 def var(grid: QuantileGrid, alpha: float) -> float:
-    """Left-continuous grid quantile: the last midpoint at or below alpha.
-
-    The grid is read as a step function jumping at the midpoints, so the
-    left quantile at alpha is the value of the largest midpoint <= alpha.
-    """
-    _check_level(alpha)
-    idx = int(np.floor(alpha * grid.n - 0.5))
-    return float(grid.q[min(max(idx, 0), grid.n - 1)])
+    """Left-continuous grid quantile: the last midpoint at or below alpha."""
+    return float(grid.q[_quantile_cell(grid.n, alpha, True)])
 
 
 def var_plus(grid: QuantileGrid, alpha: float) -> float:
     """Right-continuous grid quantile: the first midpoint strictly above alpha."""
-    _check_level(alpha)
-    idx = int(np.floor(alpha * grid.n + 0.5))
-    return float(grid.q[min(max(idx, 0), grid.n - 1)])
+    return float(grid.q[_quantile_cell(grid.n, alpha, False)])
 
 
 def mean_sd(grid: QuantileGrid) -> tuple[float, float]:
@@ -204,6 +205,8 @@ class HARAUtility:
             raise ValidationError("utility parameters must be finite")
         if self.a <= 0.0:
             raise ValidationError("utility scale a must be positive")
+        if not math.isfinite(float(self.a) * float(self.a)):  # curvature takes a**2
+            raise ValidationError(f"utility scale a is too large: a**2 overflows (a = {self.a!r})")
         if self.eta >= 1.0 or self.eta == 0.0:
             raise ValidationError("risk-aversion exponent must satisfy eta < 1, eta != 0")
 

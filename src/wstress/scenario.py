@@ -36,6 +36,10 @@ MARGINAL_SHIFT = 25.0
 #: Seed behind the default location layout; documented so runs are
 #: reproducible and overridable via SpatialConfig(locations=...).
 DEFAULT_LOCATION_SEED = 2
+#: The fewest and the most samples a scenario may have.  A command holds up to
+#: about 0.5 GB per million samples, so about 2.4 GB at MAX_SAMPLES.
+MIN_SAMPLES = 100
+MAX_SAMPLES = 5_000_000
 
 
 def default_locations() -> np.ndarray:
@@ -63,8 +67,10 @@ class SpatialConfig:
             raise ValidationError(f"locations must be a finite ({N_LOCATIONS}, 2) array")
         if not isinstance(self.n_samples, (int, np.integer)):
             raise ValidationError(f"n_samples must be an integer, got {self.n_samples!r}")
-        if self.n_samples < 100:
-            raise ValidationError("need at least 100 samples")
+        if self.n_samples < MIN_SAMPLES:
+            raise ValidationError(f"need at least {MIN_SAMPLES} samples")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValidationError(f"n_samples must be at most {MAX_SAMPLES}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "locations", loc)

@@ -45,10 +45,9 @@ from .isotonic import pav, projection_jacobian, spav
 from .risk_measures import (
     DistortionWeight,
     UtilitySpec,
+    _quantile_cell,
     eval_rm,
     expected_utility,
-    var,
-    var_plus,
 )
 
 __all__ = [
@@ -557,15 +556,19 @@ def solve_integral(
 def solve_var(baseline: QuantileGrid, spec: VarStress) -> StressedModel:
     """Pin a left or right grid quantile at a target value.
 
-    The stressed quantile equals the baseline outside the probability band
-    between the target's baseline rank and the stressed level, and is
-    constant at the target inside it.  Stressing the left quantile upward
-    (or the right quantile downward) has no solution: the minimising
-    sequence loses left-continuity in the limit.
+    The stressed grid is the baseline projected onto the grids whose level-
+    alpha cell k (the one ``var``/``var_plus`` reads) holds the target: the
+    target is written into cell k and into every cell on k's far side that
+    crosses or meets it (cells up to k at or above the target on the left,
+    cells from k on at or below it on the right); the rest is the baseline.
+    A level within half a cell of 0 or 1 pins the end cell, as ``var`` and
+    ``var_plus`` read it.  Stressing the left quantile upward (or the right
+    quantile downward) has no solution: the minimising sequence loses
+    left-continuity in the limit.
     """
     left = spec.kind == "left"
-    measure = var if left else var_plus
-    base = measure(baseline, spec.alpha)
+    k = _quantile_cell(baseline.n, spec.alpha, left)
+    base = float(baseline.q[k])
     if (spec.value > base) if left else (spec.value < base):
         verb, way, other, back = ("exceeds", "down", "right", "up") if left else (
             "is below", "up", "left", "down")
@@ -575,17 +578,11 @@ def solve_var(baseline: QuantileGrid, spec: VarStress) -> StressedModel:
             f"stress must move the quantile {way} (use kind='{other}' or an "
             f"interval risk measure to move it {back})"
         )
-    # the midpoints between the target's baseline rank and the level: (alpha_F,
-    # alpha] on the left, from the first baseline value at or above the target;
-    # (alpha, alpha_F] on the right, through the last one at or below it
-    level = int(np.floor(spec.alpha * baseline.n + 0.5))
-    rank = int(np.searchsorted(baseline.q, spec.value, side=spec.kind))
-    start, stop = (rank, level) if left else (level, rank)
     qs = baseline.q.copy()
-    qs[start:stop] = spec.value
-    achieved = measure(QuantileGrid(qs), spec.alpha)
-    return _model(baseline, qs, [], [achieved - spec.value],
-                  [f"{measure.__name__}({spec.alpha})"], 0.0, 1)
+    far = qs[:k + 1] if left else qs[k:]
+    far[(far >= spec.value) if left else (far <= spec.value)] = spec.value
+    name = "var" if left else "var_plus"
+    return _model(baseline, qs, [], [qs[k] - spec.value], [f"{name}({spec.alpha})"], 0.0, 1)
 
 
 def _inverse_shifted_marginal(values, utility, lam1):

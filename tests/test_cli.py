@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wstress import cli
-from wstress.distributions import Lognormal, discretize
+from wstress.distributions import MAX_GRID_N, MIN_GRID_N, Lognormal, discretize
+from wstress.scenario import MAX_SAMPLES
 from wstress.sensitivity import DELTA_MIN_PER_BIN
 from wstress.cli import (
     EXIT_NO_SOLUTION,
@@ -571,6 +572,11 @@ MALFORMED_CONFIGS = [
      "smooth needs a CSV path"),
     ("simulate_too_few_samples", ["simulate"], {"input": {"scenario": {"n_samples": 50}}},
      "need at least 100 samples"),
+    # sizes past the machine are refused before anything is allocated
+    ("grid_n_too_large", BOTH, {"grid_n": 1e308},
+     f"config 'grid_n' must lie in [{MIN_GRID_N}, {MAX_GRID_N}], got 1e+308"),
+    ("n_samples_too_large", (*BOTH, "simulate"), {"input": {"scenario": {"n_samples": 1e308}}},
+     f"n_samples must be at most {MAX_SAMPLES}"),
 ]
 
 
@@ -650,6 +656,23 @@ class TestConfigErrors:
         assert main(["stress", str(cfg), "--zeta", zeta]) == 1
         assert "zeta must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # as under -W error, where a warning is a traceback
+    @pytest.mark.parametrize("a", [1e200, 1e308])
+    def test_overflowing_utility_scale_exits_1(self, tmp_path, a, capsys):
+        out = tmp_path / "out"
+        config = {
+            "out": str(out),
+            "grid_n": 256,
+            "baseline": {"kind": "lognormal", "mu": 0.875, "sigma": 0.5},
+            "stresses": [{"name": "floor", "kind": "utility_rm", "utility": {"a": a},
+                          "floor": {"bump": 0.01}}],
+        }
+        assert main(["stress", str(write_config(tmp_path, config))]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: stress 'floor': utility scale a is too large: a**2 overflows "
+                       f"(a = {a!r})\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, change, needle", [
         pytest.param(command, change, needle, id=f"{command}-{case}")
         for case, commands, change, needle in MALFORMED_CONFIGS
@@ -683,6 +706,7 @@ MALFORMED_CSV = {
     # the tests write each file as Latin-1, which leaves the ASCII ones above as they are
     "latin1_header": "L\xe9,Y\n1.0,2.0\n",
     "latin1_late_cell": "L1,Y\n" + "1.0,2.0\n" * 4000 + "3.0,\xe9\n",
+    "repeated_column": "L1,Y,Y\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
 }
 
 
@@ -724,6 +748,23 @@ class TestMalformedCsv:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad.csv" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("with_copy", [False, True], ids=["parse", "copy"])
+    def test_stress_refuses_a_repeated_column(self, tmp_path, with_copy, capsys):
+        # enough rows to stress, so only the second Y stops the run; the saved
+        # parse beside the CSV is checked the same way
+        csv_path = tmp_path / "samples.csv"
+        y = discretize(Lognormal(0.875, 0.5), 500).q
+        data = np.column_stack((y, y, 2.0 * y))
+        np.savetxt(csv_path, data, fmt="%.17g", delimiter=",", header="L1,Y,Y", comments="")
+        if with_copy:
+            cli._write_table_copy(csv_path, ["L1", "Y", "Y"], data)
+        out = tmp_path / "out"
+        config = {"out": str(out), "grid_n": 256, "input": {"csv": str(csv_path)},
+                  "baseline": {"kind": "empirical"}, "stresses": [RM_STRESS]}
+        assert main(["stress", str(write_config(tmp_path, config))]) == 1
+        assert capsys.readouterr().err == f"error: {csv_path}: column 'Y' is repeated\n"
+        assert not out.exists()
 
 
 class TestPartialOutput:

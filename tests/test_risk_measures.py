@@ -198,6 +198,13 @@ class TestUtilities:
         with pytest.raises(ValidationError):
             HARAUtility(a=1.0, b=5.0, eta=1.0)
 
+    @pytest.mark.parametrize("a", [1e200, np.float64(1e200), 1e308],
+                             ids=["1e200", "numpy_1e200", "1e308"])
+    def test_scale_whose_square_overflows_is_refused(self, a):
+        with pytest.raises(ValidationError, match="a\\*\\*2 overflows"):
+            HARAUtility(a=a, b=5.0, eta=0.5)
+        assert HARAUtility(a=1e154, b=5.0, eta=0.5).curvature(1.0) < 0.0
+
     def test_convex_marginal_rejected(self):
         g = discretize(Lognormal(0.0, 0.5), 64)
         convex = CustomUtility(value_fn=lambda x: x**2, marginal_fn=lambda x: 2 * x)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -566,6 +566,47 @@ class TestSolveIntegral:
         assert model.multipliers[1] == 0.0
 
 
+@st.composite
+def var_stresses(draw, interior=False):
+    """A quantile stress on a 16- or 64-cell lognormal grid, and the cell it pins.
+
+    The grid is shifted by -2 so that it crosses zero, and is rounded to a
+    step of 0.5 or 1 (atoms, with -0.0 and 0.0 cells) or left as it is.  The
+    level's position alpha * n lies below half a cell, inside, or within half
+    a cell of n, unless ``interior`` keeps it where the read cell has a
+    midpoint on its far side (alpha * n >= 0.5 on the left, < n - 0.5 on the
+    right).  The target lies on the side the stress may move the quantile
+    to: off the read value by up to 3, on a grid value, or a signed zero.
+    """
+    n = draw(st.sampled_from([16, 64]))
+    q = discretize(Lognormal(0.875, 0.5), n).q - 2.0
+    step = draw(st.sampled_from([None, 0.5, 1.0]))
+    base = QuantileGrid(q if step is None else np.round(q / step) * step)
+    kind = draw(st.sampled_from(["left", "right"]))
+    left = kind == "left"
+    if interior:
+        position = draw(st.floats(0.5, n, exclude_max=True) if left
+                        else st.floats(1e-9, n - 0.5, exclude_max=True))
+    else:
+        position = draw(st.one_of(st.floats(1e-9, 0.5, exclude_max=True),
+                                  st.floats(0.5, n - 0.5, exclude_max=True),
+                                  st.floats(n - 0.5, n, exclude_max=True)))
+    alpha = position / n  # exact: n is a power of two
+    # the read cell: the last midpoint at or below alpha, or the first one above it
+    cells = np.flatnonzero(base.u <= alpha) if left else np.flatnonzero(base.u > alpha)
+    k = (cells[-1] if left else cells[0]) if cells.size else (0 if left else n - 1)
+    read = base.q[k]
+    how = draw(st.sampled_from(["gap", "cell", "zero"]))
+    if how == "gap":
+        value = read + (-1.0 if left else 1.0) * draw(st.floats(0.0, 3.0))
+    elif how == "cell":
+        value = base.q[draw(st.integers(0, k) if left else st.integers(k, n - 1))]
+    else:
+        value = draw(st.sampled_from([0.0, -0.0]))
+        assume(value <= read if left else value >= read)
+    return base, VarStress(alpha=alpha, value=float(value), kind=kind), int(k)
+
+
 class TestSolveVar:
     def test_uniform_left_formula(self):
         # alpha_F = 0.8 from the baseline rank of the target, then constant
@@ -620,13 +661,46 @@ class TestSolveVar:
     @pytest.mark.parametrize("alpha", [0.001, 0.999])
     @pytest.mark.parametrize("kind", ["left", "right"])
     def test_baseline_quantile_target_leaves_the_grid(self, kind, alpha):
-        # at these levels the band is empty or one cell already at the target
+        # at n = 256 both levels read an end cell: 0.001 * n = 0.256 is within
+        # half a cell of 0, and 0.999 * n = 255.744 within half a cell of n
         g = discretize(Lognormal(0.875, 0.5), 256)
         target = (var if kind == "left" else var_plus)(g, alpha)
         model = solve_var(g, VarStress(alpha=alpha, value=target, kind=kind))
         np.testing.assert_array_equal(model.stressed.q, g.q)
         np.testing.assert_array_equal(model.residuals, [0.0])
         assert model.w2 == 0.0
+        # a moved target is written into that end cell
+        moved = target * (0.95 if kind == "left" else 1.05)
+        model = solve_var(g, VarStress(alpha=alpha, value=moved, kind=kind))
+        assert model.stressed.q[0 if alpha < 0.5 else -1] == moved
+        np.testing.assert_array_equal(model.residuals, [0.0])
+        assert model.w2 > 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(var_stresses())
+    def test_is_the_projection_with_the_read_cell_pinned(self, stress):
+        # at every level, grid ends included, and on grids with atoms
+        base, spec, k = stress
+        model = solve_var(base, spec)
+        assert model.stressed.q[k] == spec.value
+        assert model.residuals.tolist() == [0.0]
+        pin = np.zeros(base.n)
+        pin[k] = 1.0
+        oracle = _slsqp_nearest(base, [(lambda g: g[k] - spec.value, lambda g: pin)])
+        _assert_matches_oracle(base, model, oracle, atol=1e-8)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(var_stresses(interior=True))
+    def test_interior_levels_keep_the_band_bits(self, stress):
+        # the band between the target's baseline rank and the level, as the
+        # solver wrote it before it became a projection; signed zeros included
+        base, spec, _ = stress
+        level = int(np.floor(spec.alpha * base.n + 0.5))
+        rank = int(np.searchsorted(base.q, spec.value, side=spec.kind))
+        start, stop = (rank, level) if spec.kind == "left" else (level, rank)
+        band = base.q.copy()
+        band[start:stop] = spec.value
+        assert solve_var(base, spec).stressed.q.tobytes() == band.tobytes()
 
 
 class TestSolveUtilityRm:
