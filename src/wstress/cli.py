@@ -233,7 +233,7 @@ def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
     Blank lines and lines starting with ``#`` are skipped.  Returns the
     stripped column names and the data as a (rows, columns) float array;
     an unreadable or non-UTF-8 file, a missing data row, a non-numeric cell,
-    a ragged row or a repeated column name raises :class:`ConfigError`; a
+    a ragged row or an empty or repeated column name raises :class:`ConfigError`; a
     leading byte-order mark is skipped.  A copy that ``simulate`` saved
     beside the CSV is returned instead of a parse while the sha256 of the
     CSV's bytes matches the one it holds; it equals the parse bit for bit,
@@ -262,6 +262,8 @@ def _read_csv_table(path: str) -> tuple[list[str], np.ndarray]:
         raise ConfigError(f"{path}: data rows must be numeric and equally long ({exc})") from exc
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: {data.shape[1]} data columns under {len(header)} names")
+    if "" in header:
+        raise ConfigError(f"{path}: column {header.index('') + 1} has no name")
     if repeated := [name for j, name in enumerate(header) if name in header[:j]]:
         raise ConfigError(f"{path}: column {repeated[0]!r} is repeated")
     return header, data

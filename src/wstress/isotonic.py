@@ -14,13 +14,14 @@ a few ulps.
 squared-increment penalty ``zeta * n**2 * sum_i (x_{i+1} - x_i)**2`` that
 discourages large jumps; it is solved as an equality-constrained quadratic
 program on the pooled block structure, where each equality solve is a
-symmetric tridiagonal system (O(n)).
+symmetric positive-definite tridiagonal system (O(n)), solved by LAPACK
+``ptsv`` called directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 from scipy.optimize import isotonic_regression
 
 from .errors import NotConvergedError, ValidationError
@@ -59,14 +60,18 @@ def _pav_blocks(v: np.ndarray, w: np.ndarray):
     one singleton block per cell, so :func:`pav` is exactly idempotent.
     Other input is pooled by scipy's compiled PAVA on the positive-weight
     cells, which pools ties too; a zero-weight cell joins the block on its
-    left (leading ones the first block), at no cost to the objective.
+    left (leading ones the first block), at no cost to the objective.  A
+    pooled sum that overflows raises ValidationError.
     """
     if not np.any(v[1:] < v[:-1]):
         return np.arange(1, v.size + 1), v.copy()
     pos = np.flatnonzero(w > 0.0)
     fit = isotonic_regression(v[pos], weights=w[pos])
     starts = pos[fit.blocks[:-1]]
-    return np.append(starts[1:], v.size), fit.x[fit.blocks[:-1]]
+    means = fit.x[fit.blocks[:-1]]
+    if not np.isfinite(means).all():
+        raise ValidationError("values too large: a pooled block's weighted sum overflows")
+    return np.append(starts[1:], v.size), means
 
 
 def pav(values, weights=None) -> np.ndarray:
@@ -105,9 +110,10 @@ def spav(values, zeta: float = 0.0) -> np.ndarray:
     Minimises ``sum (x_i - values_i)**2 + pen * sum (x_{i+1} - x_i)**2``
     over nondecreasing ``x``, where ``pen = zeta * n**2`` is ``zeta`` over
     the squared spacing of the midpoint grid on (0, 1).  ``zeta = 0``
-    reproduces :func:`pav` exactly.  A penalty that overflows, or that
-    swamps the unit weights so the system is numerically singular, raises
-    ValidationError.
+    reproduces :func:`pav` exactly.  A penalty whose block system overflows
+    (``n + 2 * pen`` is not finite), a penalty that swamps the unit weights
+    so the system is numerically singular, and values whose sums overflow
+    raise ValidationError.
     """
     v = _validated_values(values)
     if not np.isfinite(zeta) or zeta < 0.0:
@@ -116,8 +122,13 @@ def spav(values, zeta: float = 0.0) -> np.ndarray:
         return _pav_fit(v, np.ones(v.size))
     with np.errstate(over="ignore"):
         pen = _penalty(zeta, v.size)
-    if not np.isfinite(pen):
-        raise ValidationError("increment penalty zeta * n**2 overflows")
+        diag = v.size + pen + pen
+        # bounds every prefix sum, block sum and tie multiplier of the fit
+        reach = 8.0 * (1.0 + pen) * np.abs(v).sum()
+    if not np.isfinite(diag):
+        raise ValidationError("increment penalty zeta * n**2 overflows the block system")
+    if not np.isfinite(reach):
+        raise ValidationError("values too large for the penalty: their sums overflow")
     try:
         return _smoothed_isotonic(v, pen)
     except np.linalg.LinAlgError as exc:
@@ -129,25 +140,37 @@ def _penalty(zeta: float, n: int) -> float:
     return zeta / (1.0 / n) ** 2
 
 
-def _solve_block_system(ends, v, pen):
+def _solve_block_system(ends, csum, pen):
     """Minimise the smoothed objective with all within-block ties enforced.
 
     The reduced unknowns are one value per block; only the penalty terms at
     block boundaries survive, giving a symmetric positive-definite
-    tridiagonal system solved in O(n).
+    tridiagonal system solved in O(n).  ``csum`` is the prefix sum of the
+    values, so each block's sum is one difference.
     """
     sizes = np.diff(ends, prepend=0)
-    rhs = np.diff(np.cumsum(v)[ends - 1], prepend=0.0)
+    rhs = np.diff(csum[ends - 1], prepend=0.0)
     if sizes.size == 1:
         return rhs / sizes
-    return solveh_banded(_block_banded(sizes, pen), rhs)
+    return _solve_tridiagonal(sizes, pen, rhs)
 
 
-def _block_banded(sizes, pen):
-    """The block system in upper banded form: block sizes plus boundary penalties."""
-    boundary = np.full(sizes.size - 1, pen)
-    diag = sizes + np.append(boundary, 0.0) + np.append(0.0, boundary)
-    return np.vstack((np.append(0.0, -boundary), diag))
+def _solve_tridiagonal(sizes, pen, rhs):
+    """Solve the block system: block sizes plus boundary penalties, ``-pen`` off the diagonal.
+
+    Two or more blocks; ``rhs`` has one row per block.  LAPACK ``ptsv``
+    (an L D L^T factorisation) is called directly, without scipy's banded
+    wrapper and its copies and finiteness checks; a system that is not
+    numerically positive definite raises LinAlgError.
+    """
+    diag = sizes.astype(float)
+    diag[:-1] += pen
+    diag[1:] += pen
+    _, _, x, info = dptsv(diag, np.full(sizes.size - 1, -pen), rhs,
+                          overwrite_d=True, overwrite_e=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}th leading minor not positive definite")
+    return x
 
 
 def projection_jacobian(x, outputs, inputs, zeta: float = 0.0) -> np.ndarray:
@@ -170,7 +193,7 @@ def projection_jacobian(x, outputs, inputs, zeta: float = 0.0) -> np.ndarray:
     if zeta == 0.0 or starts.size == 1:
         solved = block_inp / sizes[:, None]
     else:
-        solved = solveh_banded(_block_banded(sizes, _penalty(zeta, x.size)), block_inp)
+        solved = _solve_tridiagonal(sizes, _penalty(zeta, x.size), block_inp)
     return outputs @ inputs.T - out @ inp.T + np.add.reduceat(out, starts, axis=1) @ solved
 
 
@@ -192,15 +215,18 @@ def _smoothed_isotonic(v, pen):
     n = v.size
     ends, block_vals = _pav_blocks(v, np.ones(n))
     x = _expand(ends, block_vals)
+    csum = np.cumsum(v)
     scale = max(1.0, float(np.abs(v).max()))
     dual_tol = 1e-10 * scale * max(1.0, pen)
     feas_tol = 1e-13 * scale
 
     for _ in range(8 * n + 100):
-        b = _solve_block_system(ends, v, pen)
+        b = _solve_block_system(ends, csum, pen)
         gaps = np.diff(b)
         if gaps.size == 0 or gaps.min() >= -feas_tol:
             x = _expand(ends, np.maximum.accumulate(b))
+            if ends.size == n:  # singletons only: no tie to release
+                return x
             splits = _negative_ties(ends, x, v, pen, dual_tol)
             if splits.size == 0:
                 return x

@@ -337,7 +337,9 @@ def _projection_cache(builder):
     Two entries hold the current iterate while a finite-difference probe of
     the utility or integral search is evaluated, so a probe that maps back
     onto the iterate (a slack integral constraint) does not rebuild it, and
-    an exact Jacobian reads the iterate's grid without rebuilding it.
+    an exact Jacobian reads the iterate's grid without rebuilding it.  The
+    utility family also keys its projection on the risk-measure multipliers
+    alone, which a utility-multiplier probe leaves as they are.
     """
     cached = functools.lru_cache(maxsize=2)(lambda key: builder(np.frombuffer(key)))
     return lambda lam: cached(np.asarray(lam, dtype=float).tobytes())
@@ -620,18 +622,24 @@ def _inverse_shifted_marginal(values, utility, lam1):
         raise UtilityDomainError("could not bracket the utility inverse on its domain")
     x = 0.5 * (lo + hi)
     tol_abs = 1e-10 * max(1.0, float(np.max(np.abs(y))))
+    # a converged cell never moves again, so the loop runs on the open cells
+    # alone and writes each one back into x as it closes
+    cells, xa, ya = np.arange(y.size), x, y
     for _ in range(200):
-        fx = nu(x) - y
-        done = np.abs(fx) <= tol_abs
-        if done.all():
+        fx = nu(xa) - ya
+        still_open = ~(np.abs(fx) <= tol_abs)  # a NaN stays open
+        if not still_open.all():
+            x[cells] = xa
+            cells, xa, ya, fx, lo, hi = (a[still_open] for a in (cells, xa, ya, fx, lo, hi))
+        if cells.size == 0:
             break
         too_high = fx > 0.0
-        lo = np.where(done | too_high, lo, x)
-        hi = np.where(done | ~too_high, hi, x)
-        slope = 1.0 - lam1 * utility.curvature(x)
-        newton = x - fx / np.maximum(slope, 1.0)
+        lo = np.where(too_high, lo, xa)
+        hi = np.where(too_high, xa, hi)
+        slope = 1.0 - lam1 * utility.curvature(xa)
+        newton = xa - fx / np.maximum(slope, 1.0)
         inside = (newton > lo) & (newton < hi)
-        x = np.where(done, x, np.where(inside, newton, 0.5 * (lo + hi)))
+        xa = np.where(inside, newton, 0.5 * (lo + hi))
     else:
         raise NotConvergedError("utility inverse did not converge on the grid")
     return x
@@ -665,9 +673,10 @@ def solve_utility_rm(
                                                  pre.residuals)),
                        constraint_names=tuple(names))
 
+    projected = _projection_cache(lambda mu: _isotonic(baseline.q + gammas.T @ mu, zeta=zeta))
+
     def build(lam):
-        projected = _isotonic(baseline.q + gammas.T @ lam[1:], zeta=zeta)
-        return _inverse_shifted_marginal(projected, spec.utility, max(lam[0], 0.0))
+        return _inverse_shifted_marginal(projected(lam[1:]), spec.utility, max(lam[0], 0.0))
 
     def residual(qs):
         utility = float(np.mean(spec.utility.value(qs))) - spec.floor

@@ -495,6 +495,21 @@ class TestSmoothCommand:
         assert np.all(np.diff(cols["smoothed"]) >= -1e-12)
         np.testing.assert_allclose(cols["original"], noisy, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_block_system_exits_1(self, tmp_path, capsys):
+        # 100 values: zeta * n**2 = 1.2e308 is finite, n + 2 * zeta * n**2 is not
+        csv_path = tmp_path / "col.csv"
+        csv_path.write_text("v\n" + "\n".join(f"{x:.17g}" for x in np.linspace(1.0, 0.0, 100)))
+        config = {
+            "out": str(tmp_path / "out"),
+            "zeta": 1.2e304,
+            "smooth": {"csv": str(csv_path), "column": "v"},
+        }
+        assert main(["smooth", str(write_config(tmp_path, config))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+        assert not (tmp_path / "out").exists()
+
 
 RM_STRESS = {"name": "s", "kind": "rm",
              "constraints": [{"gamma": "es", "alpha": 0.9, "bump": 0.1}]}
@@ -707,6 +722,7 @@ MALFORMED_CSV = {
     "latin1_header": "L\xe9,Y\n1.0,2.0\n",
     "latin1_late_cell": "L1,Y\n" + "1.0,2.0\n" * 4000 + "3.0,\xe9\n",
     "repeated_column": "L1,Y,Y\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
+    "empty_column_name": "L1,,Y\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
 }
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solveh_banded
 
 from conftest import assert_smoothed_isotonic_kkt, pav_loop_blocks, smoothed_isotonic_oracle
 from wstress import isotonic
@@ -231,6 +232,25 @@ class TestSpav:
         with pytest.raises(ValidationError):
             spav(np.linspace(1.0, 0.0, 64), zeta=1e306)
 
+    @pytest.mark.filterwarnings("error")
+    def test_penalty_whose_block_diagonal_overflows_raises(self):
+        # zeta * n**2 is finite, but n + 2 * zeta * n**2 is not
+        with pytest.raises(ValidationError, match="overflows the block system"):
+            spav(np.random.default_rng(0).normal(size=64), zeta=3e304)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [[1e308, 1e308, 0.0, 1.0], [1e308, 1e308]],
+                             ids=["pooled", "nondecreasing"])
+    def test_values_whose_sums_overflow_raise(self, values):
+        with pytest.raises(ValidationError, match="overflow"):
+            spav(values, zeta=1e-4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_pav_refuses_a_pooled_sum_that_overflows(self):
+        with pytest.raises(ValidationError, match="overflows"):
+            pav([1e308, 1e308, 0.0, 1.0])
+        np.testing.assert_array_equal(pav([1e308, 1e308]), [1e308, 1e308])  # nothing pooled
+
     def test_penalty_too_large_for_weights_raises(self):
         # a finite penalty, but the tridiagonal system is numerically singular
         with pytest.raises(ValidationError):
@@ -276,6 +296,25 @@ class TestSpav:
         splits = isotonic._negative_ties(ends, x, v, 1.0, 1e-10)
         assert splits.tolist() == [0, 2]
         assert np.intersect1d(splits, ends - 1).size == 0
+
+
+class TestTridiagonalSolve:
+    @pytest.mark.parametrize("columns", [None, 3])
+    def test_equals_the_banded_solver_bit_for_bit(self, columns):
+        # the block system in scipy's upper banded form, built as the fit
+        # used to build it: sizes + boundary penalties, -pen above the diagonal
+        rng = np.random.default_rng(31)
+        for pen in 10.0 ** np.arange(-2, 13):
+            sizes = rng.integers(1, 40, size=int(rng.integers(2, 300)))
+            shape = sizes.size if columns is None else (sizes.size, columns)
+            rhs = rng.normal(size=shape) * 10.0 ** rng.uniform(-3.0, 3.0)
+            boundary = np.full(sizes.size - 1, pen)
+            diag = sizes + np.append(boundary, 0.0) + np.append(0.0, boundary)
+            banded = np.vstack((np.append(0.0, -boundary), diag))
+            kept = rhs.copy()
+            x = isotonic._solve_tridiagonal(sizes, pen, rhs)
+            assert x.tobytes() == solveh_banded(banded, rhs).tobytes()
+            assert rhs.tobytes() == kept.tobytes()
 
 
 @st.composite
