@@ -156,12 +156,10 @@ def _solve_block_system(ends, csum, pen):
 
 
 def _solve_tridiagonal(sizes, pen, rhs):
-    """Solve the block system: block sizes plus boundary penalties, ``-pen`` off the diagonal.
+    """LAPACK ``ptsv`` on the block system, two or more blocks, one ``rhs`` row each.
 
-    Two or more blocks; ``rhs`` has one row per block.  LAPACK ``ptsv``
-    (an L D L^T factorisation) is called directly, without scipy's banded
-    wrapper and its copies and finiteness checks; a system that is not
-    numerically positive definite raises LinAlgError.
+    The diagonal is the block sizes plus the boundary penalties, with ``-pen``
+    beside it.  A system not numerically positive definite raises LinAlgError.
     """
     diag = sizes.astype(float)
     diag[:-1] += pen
